@@ -9,9 +9,9 @@
 //! * **Columnar** — typed column vectors ([`Column`]: `i64` ints/dates,
 //!   `f64` doubles, dictionary-encoded strings) with a packed validity
 //!   [`Bitmap`], shared via `Arc` so slicing is zero-copy. Pipeline
-//!   breakers (sort, TAGGR, parallel joins) columnarize once and run their
-//!   hot loops — key extraction, group-boundary detection, interval sweeps
-//!   — over the flat arrays.
+//!   breakers (sort, TAGGR) columnarize once and run their hot loops —
+//!   key extraction, group-boundary detection, interval sweeps — over the
+//!   flat arrays.
 //!
 //! Interval (period) attributes are ordinary `Int`/`Date` columns, so a
 //! columnar batch naturally exposes a period as a flat `(start: i64,

@@ -2,43 +2,34 @@
 //! dispatch, trace sampling, wire bookkeeping) batch-at-a-time execution
 //! amortizes away.
 //!
-//! Sweeps the process-wide batch size (1 = the row-at-a-time baseline)
-//! over the two middleware-heavy fixed plans of the paper's study:
+//! Sweeps the session's batch size (`TangoOptions::batch_rows`; 1 = the
+//! row-at-a-time baseline) over the two middleware-heavy fixed plans of
+//! the paper's study:
 //! Query 1 plan 2 (`SORT^M` + `TAGGR^M`, Figure 7) and Query 3 plan 2
 //! (`TMERGEJOIN^M`, Figure 11a). Wire time is identical across sizes by
 //! construction (the transfer cursor ships prefetch-aligned batches in
-//! both modes), so the interesting number is **wall** time.
-//!
-//! A second sweep varies the morsel worker count
-//! (`TangoOptions::workers` = 1, 2, 4, 8) at the default batch size and
-//! verifies the parallel results are **byte-identical** to the
-//! sequential run through the wire codec. The host core count is
-//! recorded in the JSON (`host_cpus`) so speedups are read in context —
-//! on a single-core host the parallel wall times measure scheduling
-//! overhead, not speedup; such runs are stamped
-//! `scheduling_overhead_only: true` and the worker-speedup check is
-//! skipped (the byte-identity and wire-invariance checks still gate).
+//! both modes), so the interesting number is **wall** time. The host
+//! core count is recorded in the JSON (`host_cpus`) so the wall times
+//! are read in context.
 //!
 //! Usage: `cargo run --release -p tango-bench --bin batch_ablation \
 //!         [--small] [--check]`
 //!
 //! Writes `BENCH_batch.json` in the working directory; `--check` exits
 //! non-zero if the default batch size is slower than row-at-a-time or if
-//! any worker count changes the result bytes or the wire time.
+//! any batch size changes the result bytes or the wire time.
 
 use std::time::Duration;
 use tango_algebra::date::day;
 use tango_algebra::DEFAULT_BATCH_ROWS;
 use tango_bench::plans::{q1_plans, q3_plans, PlanBuilder};
-use tango_bench::{load_uis, time_plan_report, uis_link_profile, Table};
+use tango_bench::{load_uis, uis_link_profile, Table};
 use tango_core::phys::PhysNode;
 use tango_core::Tango;
 use tango_trace::json::Object;
 use tango_uis::UisConfig;
-use tango_xxl::set_batch_rows;
 
 const SIZES: [usize; 5] = [1, 64, 256, 1024, 4096];
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const RUNS: usize = 3;
 
 struct Sample {
@@ -46,6 +37,8 @@ struct Sample {
     wall: Duration,
     wire: Duration,
     rows: usize,
+    /// Wire-codec bytes of the result, for the byte-identity check.
+    bytes: Vec<u8>,
 }
 
 /// Best-of-[`RUNS`] wall time for one plan at one batch size.
@@ -55,11 +48,14 @@ fn measure(
     plan: &PhysNode,
     batch_rows: usize,
 ) -> Sample {
-    set_batch_rows(batch_rows);
+    tango.options_mut().batch_rows = batch_rows;
     let mut best: Option<Sample> = None;
     for _ in 0..RUNS {
         link.reset();
-        let (_, rows, report) = time_plan_report(tango, plan);
+        let (rel, report) = match tango.execute_physical(plan) {
+            Ok(r) => r,
+            Err(e) => panic!("plan failed at batch {batch_rows}: {e}\n{}", plan.render()),
+        };
         if std::env::var_os("TANGO_ABLATION_STEPS").is_some() {
             for s in &report.steps {
                 eprintln!(
@@ -71,50 +67,15 @@ fn measure(
             }
         }
         if best.as_ref().is_none_or(|b| report.wall < b.wall) {
-            best = Some(Sample { batch_rows, wall: report.wall, wire: report.wire, rows });
+            let mut bytes = Vec::new();
+            for t in rel.tuples() {
+                tango_algebra::codec::encode_tuple(t, &mut bytes);
+            }
+            let (wall, wire, rows) = (report.wall, report.wire, rel.len());
+            best = Some(Sample { batch_rows, wall, wire, rows, bytes });
         }
     }
     best.unwrap()
-}
-
-/// Best-of-[`RUNS`] wall time for one plan at one morsel worker count
-/// (default batch size), plus the wire-codec bytes of the result for the
-/// byte-identity check against the sequential run.
-fn measure_workers(
-    tango: &mut Tango,
-    link: &tango_minidb::Link,
-    plan: &PhysNode,
-    workers: usize,
-) -> (Sample, Vec<u8>) {
-    tango.options_mut().workers = workers;
-    let mut best: Option<Sample> = None;
-    let mut bytes = Vec::new();
-    for _ in 0..RUNS {
-        link.reset();
-        let (rel, report) = match tango.execute_physical(plan) {
-            Ok(r) => r,
-            Err(e) => panic!("plan failed at workers={workers}: {e}\n{}", plan.render()),
-        };
-        let mut buf = Vec::new();
-        for t in rel.tuples() {
-            tango_algebra::codec::encode_tuple(t, &mut buf);
-        }
-        if bytes.is_empty() {
-            bytes = buf;
-        } else {
-            assert_eq!(bytes, buf, "workers={workers}: repeated runs not byte-identical");
-        }
-        if best.as_ref().is_none_or(|b| report.wall < b.wall) {
-            best = Some(Sample {
-                batch_rows: workers, // reused as the x-axis of this sweep
-                wall: report.wall,
-                wire: report.wire,
-                rows: rel.len(),
-            });
-        }
-    }
-    tango.options_mut().workers = 1;
-    (best.unwrap(), bytes)
 }
 
 fn main() {
@@ -155,10 +116,16 @@ fn main() {
             );
             samples.push(s);
         }
-        assert!(
-            samples.iter().all(|s| s.rows == samples[0].rows),
-            "{name}: result size varies with batch size"
-        );
+        for s in &samples[1..] {
+            if s.bytes != samples[0].bytes {
+                eprintln!("    FAIL: batch {} changed the result bytes", s.batch_rows);
+                failed = true;
+            }
+            if s.wire != samples[0].wire {
+                eprintln!("    FAIL: batch {} changed the wire time", s.batch_rows);
+                failed = true;
+            }
+        }
         let row_wall = samples[0].wall;
         let batch_wall = samples.iter().find(|s| s.batch_rows == DEFAULT_BATCH_ROWS).unwrap().wall;
         let speedup = row_wall.as_secs_f64() / batch_wall.as_secs_f64().max(1e-9);
@@ -166,55 +133,6 @@ fn main() {
         if speedup < 1.0 {
             eprintln!("    FAIL: batch path slower than row path");
             failed = true;
-        }
-
-        // morsel worker sweep at the default batch size, gated on
-        // byte-identical results and invariant wire time
-        set_batch_rows(DEFAULT_BATCH_ROWS);
-        let mut worker_samples = Vec::new();
-        let mut base_bytes: Vec<u8> = Vec::new();
-        let mut base_wire = Duration::ZERO;
-        for w in WORKERS {
-            let (s, bytes) = measure_workers(&mut setup.tango, setup.db.link(), plan, w);
-            eprintln!(
-                "    workers {w}: wall {:>9.3}ms wire {:>9.3}ms rows {}",
-                s.wall.as_secs_f64() * 1e3,
-                s.wire.as_secs_f64() * 1e3,
-                s.rows
-            );
-            if w == 1 {
-                base_bytes = bytes;
-                base_wire = s.wire;
-            } else {
-                if bytes != base_bytes {
-                    eprintln!("    FAIL: workers={w} changed the result bytes");
-                    failed = true;
-                }
-                if s.wire != base_wire {
-                    eprintln!("    FAIL: workers={w} changed the wire time");
-                    failed = true;
-                }
-            }
-            worker_samples.push(s);
-        }
-        let w8 = worker_samples.iter().find(|s| s.batch_rows == 8).unwrap().wall;
-        let w_speedup = worker_samples[0].wall.as_secs_f64() / w8.as_secs_f64().max(1e-9);
-        if host_cpus == 1 {
-            // on a single core the morsel pool can only add scheduling
-            // overhead — record the wall times but don't read them as a
-            // speedup (and don't gate on one)
-            eprintln!(
-                "    wall ratio at 8 workers: {w_speedup:.2}x \
-                 (single-core host: scheduling overhead only, speedup check skipped)"
-            );
-        } else {
-            eprintln!("    wall speedup at 8 workers: {w_speedup:.2}x");
-            if w_speedup < 1.0 {
-                eprintln!(
-                    "    FAIL: morsel pool slower than sequential on a {host_cpus}-core host"
-                );
-                failed = true;
-            }
         }
 
         let sizes_json: Vec<String> = samples
@@ -229,29 +147,15 @@ fn main() {
                     .build()
             })
             .collect();
-        let workers_json: Vec<String> = worker_samples
-            .iter()
-            .map(|s| {
-                Object::new()
-                    .number("workers", s.batch_rows as f64)
-                    .number("wall_us", s.wall.as_secs_f64() * 1e6)
-                    .number("wire_us", s.wire.as_secs_f64() * 1e6)
-                    .number("rows", s.rows as f64)
-                    .build()
-            })
-            .collect();
         query_objs.push(
             Object::new()
                 .string("plan", name)
                 .raw("sizes", &format!("[{}]", sizes_json.join(",")))
                 .number("wall_speedup_at_default", speedup)
-                .raw("workers", &format!("[{}]", workers_json.join(",")))
-                .number("wall_speedup_at_8_workers", w_speedup)
                 .build(),
         );
         per_size.push(samples);
     }
-    set_batch_rows(DEFAULT_BATCH_ROWS);
 
     for (i, bs) in SIZES.iter().enumerate() {
         table.row(*bs, per_size.iter().map(|s| Some(s[i].wall)).collect());
@@ -265,9 +169,6 @@ fn main() {
         .number("row_prefetch", uis_link_profile().row_prefetch as f64)
         .number("default_batch_rows", DEFAULT_BATCH_ROWS as f64)
         .number("host_cpus", host_cpus as f64)
-        // single-core runs: the worker sweep's wall times measure the
-        // morsel pool's scheduling overhead, not parallel speedup
-        .raw("scheduling_overhead_only", if host_cpus == 1 { "true" } else { "false" })
         .raw("queries", &format!("[{}]", query_objs.join(",")))
         .build();
     std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");

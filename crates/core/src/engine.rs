@@ -14,18 +14,18 @@
 use crate::cache::{self, MidCache, Residency};
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
-use crate::opt::{self, Catalog, OptOptions};
+use crate::opt::{self, Catalog, Materialization, Materialized, OptOptions};
 use crate::phys::{Algo, PhysNode, Site};
 use crate::{refresh, session, to_sql};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Batch, Logical, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, Logical, Relation, Schema, SortSpec, Tuple, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin,
+    drain_of, BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExternalSort, Filter, MergeJoin,
     NestedLoopJoin, Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
 };
 
@@ -153,68 +153,112 @@ impl ExecReport {
     }
 }
 
-/// Execute an optimized physical plan against the DBMS connection,
-/// returning the materialized result and the execution report with
-/// per-operator spans (the adaptive feedback loop consumes them).
-pub fn execute(conn: &Connection, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
-    execute_with(conn, plan, true)
+/// Options of one [`execute`] call. The default runs the plan as given,
+/// traced, without a cache, at the default batch size.
+pub struct ExecOptions {
+    /// Record per-operator spans. With `false` no cursor is wrapped and
+    /// nothing is measured per tuple — the bare operator pipeline runs
+    /// and the report's `steps` come back empty. A re-plan section
+    /// always traces: its monitor reads actual row counts from the spans.
+    pub trace: bool,
+    /// The middleware relation cache every `TRANSFER^M` consults. A
+    /// **hit** serves the resident copy through a [`CachedScan`] without
+    /// issuing any SQL (zero wire, zero server time); a **miss** streams
+    /// normally and, if the transfer drains to completion without
+    /// faulting or re-planning, populates the cache; a **bypass**
+    /// (uncacheable fragment, see [`cache::fragment_key`]) streams
+    /// normally and is annotated as such.
+    pub cache: Option<Arc<MidCache>>,
+    /// Rows per batch pulled between operators (1 = row-at-a-time).
+    pub batch_rows: usize,
+    /// Cost factors that the per-`TRANSFER^M` cache-maintenance decision
+    /// (refresh-by-delta vs refetch vs drop, see
+    /// [`cache::maintenance_choice`]) and the re-planner price with.
+    pub factors: CostFactors,
+    /// Mid-query re-planning at pipeline breakers; `None` runs the plan
+    /// as given.
+    pub replan: Option<Replan>,
 }
 
-/// [`execute`] with tracing control. With `trace == false` no cursor is
-/// wrapped and nothing is measured per tuple — the bare operator
-/// pipeline runs (the report's `steps` comes back empty, only the
-/// whole-query totals are filled in).
-pub fn execute_with(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached(conn, plan, trace, None)
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            trace: true,
+            cache: None,
+            batch_rows: DEFAULT_BATCH_ROWS,
+            factors: CostFactors::default(),
+            replan: None,
+        }
+    }
 }
 
-/// [`execute_with`] against a middleware relation cache. Every
-/// `TRANSFER^M` consults the cache: a **hit** serves the resident copy
-/// through a [`CachedScan`] without issuing any SQL (zero wire, zero
-/// server time); a **miss** streams normally and, if the transfer drains
-/// to completion without faulting or re-planning, populates the cache; a
-/// **bypass** (uncacheable fragment, see [`cache::fragment_key`])
-/// streams normally and is annotated as such. With `cache == None`
-/// behavior is byte-identical to [`execute_with`].
-pub fn execute_cached(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached_opts(conn, plan, trace, cache, ExecOpts::default())
+/// Everything the mid-query re-planner needs in order to re-run the
+/// Volcano optimizer over the unexecuted remainder of a plan (see
+/// `docs/ADAPTIVITY.md`). The snapshots are the ones the original
+/// optimization used, so the re-planner prices exactly what the
+/// optimizer priced.
+pub struct Replan {
+    /// The catalog snapshot of the original optimization.
+    pub catalog: Arc<Catalog>,
+    /// Optimizer knobs; re-optimization runs with the same rule groups
+    /// (and the same, possibly deliberately naive, estimation mode).
+    pub opt: OptOptions,
+    /// The cache-residency snapshot of the original optimization, for
+    /// `TRANSFER^M` enforcer pricing.
+    pub residency: Arc<Residency>,
+    /// Trigger threshold: re-plan when actual and estimated rows at a
+    /// pipeline breaker diverge by at least this factor, in either
+    /// direction.
+    pub ratio: f64,
+    /// Histogram buckets for statistics derived from materializations
+    /// (0 disables histograms).
+    pub histogram_buckets: usize,
 }
 
-/// [`execute_cached`] with explicit per-execution knobs (batch size and
-/// worker-pool width for the morsel-parallel operators). The default
-/// `ExecOpts` reproduces [`execute_cached`] exactly.
-pub fn execute_cached_opts(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-    exec: ExecOpts,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached_full(conn, plan, trace, cache, exec, CostFactors::default())
+/// The outcome of one [`execute`] call.
+pub struct Run {
+    /// The query result.
+    pub rel: Relation,
+    /// The execution report; steps are in post-order of [`Run::plan`].
+    pub report: ExecReport,
+    /// The plan as actually executed. Without a re-plan section this is
+    /// the input plan. With one, every staged breaker appears as a
+    /// `MATSCAN^M` node whose child is the subtree that produced the
+    /// materialization, and a triggered re-plan replaces everything
+    /// above the materializations.
+    pub plan: PhysNode,
+    /// The observed statistics and order of every materialization — the
+    /// overlay on the catalog that re-estimating [`Run::plan`] needs.
+    pub materialized: Materialized,
 }
 
-/// [`execute_cached_opts`] with explicit cost factors — what the
-/// per-`TRANSFER^M` cache-maintenance decision (refresh-by-delta vs
-/// refetch vs drop, see [`cache::maintenance_choice`]) prices with. The
-/// session threads its calibrated/adapted factors through here; the
-/// default factors reproduce [`execute_cached_opts`] exactly.
-pub fn execute_cached_full(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-    exec: ExecOpts,
-    factors: CostFactors,
-) -> Result<(Relation, ExecReport)> {
+/// Safety net against pathological re-plan loops: at most this many
+/// breakers are staged per query.
+const MAX_STAGES: usize = 32;
+
+/// Execute a physical plan against the DBMS connection: the one entry
+/// point of the Execution Engine.
+///
+/// With a re-plan section ([`ExecOptions::replan`]) execution is
+/// *adaptive*. The engine repeatedly finds the first unexecuted pipeline
+/// breaker (`TRANSFER^M`, `SORT^M`, `XSORT^M`, `TAGGR^M`) whose
+/// ancestors are all middleware-resident, runs it to completion, and
+/// materializes its output in the middleware. When the materialized row
+/// count diverges from the optimizer's estimate by at least the ratio
+/// (in either direction), the actuals are fed back as observed
+/// statistics and the Volcano optimizer re-runs over the remainder of
+/// the plan — which may flip operators between middleware and DBMS —
+/// pinned to the delivery order the original plan promised, so results
+/// stay byte-identical. The new remainder is spliced over the already
+/// materialized outputs and execution continues. A breaker that already
+/// degraded due to a wire fault mid-drain is never re-planned a second
+/// time over the same observation. Without a re-plan section no breaker
+/// is staged: the plan runs as given.
+///
+/// Either way the root is drained batch-at-a-time, every `TRANSFER^D`
+/// temp table is dropped whatever happened, and the wire time is
+/// metered on this session's connection alone.
+pub fn execute(conn: &Connection, plan: &PhysNode, opts: &ExecOptions) -> Result<Run> {
     if plan.algo.site() != Site::Middleware {
         return Err(TangoError::Exec(
             "plan root must be middleware-resident (delivery to the client)".into(),
@@ -223,20 +267,17 @@ pub fn execute_cached_full(
     // meter this session's wire alone — the link clock is shared with
     // every other session on the database and would cross-charge
     let wire_before = conn.wire_time();
-    let mut ctx = Ctx::new(conn, trace, cache, exec, factors);
+    let mut ctx = Ctx::new(conn, opts);
+    let mut work = plan.clone();
+    let mut materialized = Materialized::new();
     let started = Instant::now();
     let result = (|| -> Result<Relation> {
-        let mut root = ctx.build_mid(plan)?;
-        root.open()?;
-        let schema = root.schema().clone();
-        let mut rows = Vec::new();
-        // drive the root batch-at-a-time: one virtual dispatch per batch
-        // instead of one per row
-        while let Some(b) = root.next_batch_of(exec.batch_rows)? {
-            rows.extend(b.into_rows());
+        if let Some(replan) = &opts.replan {
+            stage_breakers(&mut ctx, &mut work, &mut materialized, replan)?;
         }
-        root.close()?;
-        Ok(Relation::new(schema, rows))
+        // run what remains of the plan
+        let root = ctx.build_mid(&work)?;
+        run_to_completion(root, ctx.batch_rows)
     })();
     let wall = started.elapsed();
     // drop temp tables whatever happened ("the table must be dropped at
@@ -244,11 +285,21 @@ pub fn execute_cached_full(
     for t in &ctx.temp_tables {
         let _ = conn.execute(&format!("DROP TABLE IF EXISTS {t}"));
     }
-    let result = result?;
+    let rel = result?;
     let wire = conn.wire_time().saturating_sub(wire_before);
     let steps = resolve_steps(ctx.collector, ctx.algos);
-    let report = ExecReport { rows: result.len(), wall, wire, steps };
-    Ok((result, report))
+    let report = ExecReport { rows: rel.len(), wall, wire, steps };
+    Ok(Run { rel, report, plan: work, materialized })
+}
+
+/// Open `cur`, drain it batch-at-a-time (one virtual dispatch per batch
+/// instead of one per row), and close it.
+fn run_to_completion(mut cur: BoxCursor, batch_rows: usize) -> Result<Relation> {
+    cur.open()?;
+    let schema = cur.schema().clone();
+    let rows = drain_of(cur.as_mut(), batch_rows)?;
+    cur.close()?;
+    Ok(Relation::new(schema, rows))
 }
 
 /// Resolve collected spans into step reports.
@@ -273,213 +324,120 @@ fn resolve_steps(collector: Collector, algos: Vec<Algo>) -> Vec<StepReport> {
         .collect()
 }
 
-/// Everything the mid-query re-planner needs in order to re-run the
-/// Volcano optimizer over the unexecuted remainder of a plan (see
-/// `docs/ADAPTIVITY.md`).
-pub struct AdaptiveOptions {
-    /// The catalog snapshot the original optimization used.
-    pub catalog: Catalog,
-    /// Current cost factors.
-    pub factors: CostFactors,
-    /// Optimizer knobs; re-optimization runs with the same rule groups
-    /// (and the same, possibly deliberately naive, estimation mode).
-    pub opt: OptOptions,
-    /// Cache-residency snapshot for `TRANSFER^M` enforcer pricing.
-    pub residency: Residency,
-    /// Trigger threshold: re-plan when actual and estimated rows at a
-    /// pipeline breaker diverge by at least this factor, in either
-    /// direction.
-    pub ratio: f64,
-    /// Histogram buckets for statistics derived from materializations
-    /// (0 disables histograms).
-    pub histogram_buckets: usize,
-    /// Per-execution knobs (batch size, morsel-parallel worker pool).
-    pub exec: ExecOpts,
-}
-
-/// The outcome of one adaptive execution.
-pub struct AdaptiveRun {
-    /// The query result.
-    pub rel: Relation,
-    /// The execution report; steps are in post-order of
-    /// [`AdaptiveRun::plan`].
-    pub report: ExecReport,
-    /// The plan as actually executed: every staged breaker appears as a
-    /// `MATSCAN^M` node whose child is the subtree that produced the
-    /// materialization, and a triggered re-plan replaces everything
-    /// above the materializations.
-    pub plan: PhysNode,
-    /// The catalog extended with the observed statistics of every
-    /// materialization (what re-estimating [`AdaptiveRun::plan`] needs).
-    pub catalog: Catalog,
-    /// Cardinality-triggered re-optimizations performed.
-    pub replans: usize,
-}
-
-/// Safety net against pathological re-plan loops: at most this many
-/// breakers are staged per query.
-const MAX_STAGES: usize = 32;
-
-/// Execute a plan with mid-query adaptive re-optimization at pipeline
-/// breakers.
-///
-/// The driver repeatedly finds the first unexecuted pipeline breaker
-/// (`TRANSFER^M`, `SORT^M`, `XSORT^M`, `TAGGR^M`) whose ancestors are
-/// all middleware-resident, runs it to completion, and materializes its
-/// output in the middleware. When the materialized row count diverges
-/// from the optimizer's estimate by at least `ratio` (in either
-/// direction), the actuals are fed back as injected cardinalities and
-/// the Volcano optimizer re-runs over the remainder of the plan — which
-/// may flip operators between middleware and DBMS — pinned to the
-/// delivery order the original plan promised, so results stay
-/// byte-identical. The new remainder is spliced over the already
-/// materialized outputs and execution continues. A breaker that already
-/// degraded due to a wire fault mid-drain is never re-planned a second
-/// time over the same observation.
-///
-/// Always traced: the monitor reads actuals from the spans.
-pub fn execute_adaptive(
-    conn: &Connection,
-    plan: &PhysNode,
-    cache: Option<&Arc<MidCache>>,
-    cfg: AdaptiveOptions,
-) -> Result<AdaptiveRun> {
-    if plan.algo.site() != Site::Middleware {
-        return Err(TangoError::Exec(
-            "plan root must be middleware-resident (delivery to the client)".into(),
-        ));
-    }
-    let AdaptiveOptions {
-        mut catalog,
-        factors,
-        opt: options,
-        residency,
-        ratio,
-        histogram_buckets,
-        exec,
-    } = cfg;
-    let naive = options.naive_overlaps;
-    let wire_before = conn.wire_time();
-    let mut ctx = Ctx::new(conn, true, cache, exec, factors);
-    let mut work = plan.clone();
-    let mut mat_orders: HashMap<String, SortSpec> = HashMap::new();
-    let mut replans = 0usize;
+/// The adaptive half of [`execute`]: stage pipeline breakers one at a
+/// time into `materialized`, rewriting `work` into the plan as executed,
+/// and re-optimize the remainder whenever the cardinality monitor fires.
+fn stage_breakers(
+    ctx: &mut Ctx<'_>,
+    work: &mut PhysNode,
+    materialized: &mut Materialized,
+    replan: &Replan,
+) -> Result<()> {
+    let naive = replan.opt.naive_overlaps;
+    let factors = ctx.factors;
     // the delivery order the chosen plan promised — every re-optimized
     // remainder is pinned to it so the splice cannot change the result
-    let pinned = delivered_order(&work, &mat_orders).project_onto(&work.schema);
-    let started = Instant::now();
-    let result = (|| -> Result<Relation> {
-        for mat_seq in 0..MAX_STAGES {
-            let Some(path) = find_breaker(&work, true) else { break };
-            let breaker = node_at(&work, &path).clone();
-            // what the optimizer believes this breaker will produce,
-            // given everything observed so far
-            let est_rows = session::estimate_plan_nodes_with(&breaker, &catalog, &factors, naive)
-                .ok()
-                .and_then(|v| v.first().map(|e| e.est_rows));
-            // run the breaker to completion and materialize its output
-            let (mut cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
-            cur.open()?;
-            let schema = cur.schema().clone();
-            let mut rows = Vec::new();
-            while let Some(b) = cur.next_batch_of(exec.batch_rows)? {
-                rows.extend(b.into_rows());
-            }
-            cur.close()?;
-            let slot = ctx.collector.slot(breaker_idx).clone();
-            let actual = rows.len();
-            let rel = Relation::new(schema.clone(), rows);
+    let pinned = delivered_order(work, materialized).project_onto(&work.schema);
+    for mat_seq in 0..MAX_STAGES {
+        let Some(path) = find_breaker(work, true) else { break };
+        let breaker = node_at(work, &path).clone();
+        // what the optimizer believes this breaker will produce, given
+        // everything observed so far
+        let est_rows = session::estimate_plan_nodes_with(
+            &breaker,
+            &replan.catalog,
+            materialized,
+            &factors,
+            naive,
+        )
+        .ok()
+        .and_then(|v| v.first().map(|e| e.est_rows));
+        // run the breaker to completion and materialize its output
+        let (cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
+        let rel = run_to_completion(cur, ctx.batch_rows)?;
+        let slot = ctx.collector.slot(breaker_idx).clone();
+        let actual = rel.len();
 
-            // register the materialization: observed statistics, the
-            // order it holds, and the span that will serve it (created
-            // now so span order stays the post-order of the final plan)
-            let name = format!("#MAT{mat_seq}");
-            let order = delivered_order(&breaker, &mat_orders);
-            catalog.insert(
-                name.to_uppercase(),
-                (schema.clone(), RelationStats::from_relation(&rel, histogram_buckets)),
-            );
-            mat_orders.insert(name.clone(), order);
-            let span = Some(ctx.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]));
-            ctx.mats.insert(name.clone(), MatEntry { rel, span });
-            replace_at(
-                &mut work,
-                &path,
-                PhysNode {
-                    algo: Algo::MatScanM(name),
-                    schema: breaker.schema.clone(),
-                    children: vec![breaker],
-                },
-            );
-
-            // the misestimate monitor — unless a wire fault already
-            // re-planned this breaker mid-drain (never re-plan twice
-            // over one observation)
-            let divergence = est_rows.map(|est| {
-                let e = est.max(1.0);
-                let a = (actual as f64).max(1.0);
-                (a / e).max(e / a)
-            });
-            let triggered =
-                !slot.has_event("replan") && divergence.map(|d| d >= ratio).unwrap_or(false);
-            if !triggered {
-                continue;
-            }
-            let old_cost =
-                session::estimate_plan_with(&remainder_only(&work), &catalog, &factors, naive).ok();
-            let logical = phys_to_logical(&work)?;
-            let Ok(new) = opt::reoptimize(
-                &logical,
-                pinned.clone(),
-                catalog.clone(),
-                factors,
-                options,
-                residency.clone(),
-                mat_orders.clone(),
-            ) else {
-                // no feasible alternative: keep the running plan
-                continue;
-            };
-            replans += 1;
-            let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
-            slot.add_event(
-                "cardinality-replan",
-                format!(
-                    "est {est:.1} rows, actual {actual} ({div:.1}x off): \
-                     remainder re-optimized, est gain {gain:.0}us",
-                    est = est_rows.unwrap_or(0.0),
-                    div = divergence.unwrap_or(0.0),
+        // register the materialization: observed statistics, the order
+        // it holds, and the span that will serve it (created now so span
+        // order stays the post-order of the final plan)
+        let name = format!("#MAT{mat_seq}");
+        materialized.insert(
+            name.clone(),
+            Materialization {
+                table: (
+                    rel.schema().clone(),
+                    RelationStats::from_relation(&rel, replan.histogram_buckets),
                 ),
-            );
-            slot.add_counter("replans", 1);
-            slot.add_counter("replan_gain_est", gain as u64);
-            ctx.spliced = true;
-            // splice: the optimizer returns bare MATSCAN^M leaves;
-            // re-attach each one's consumed subtree for rendering
-            let mut subtrees = HashMap::new();
-            collect_mat_subtrees(&work, &mut subtrees);
-            work = attach_mat_subtrees(new.plan, &subtrees);
+                order: delivered_order(&breaker, materialized),
+            },
+        );
+        let span = Some(ctx.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]));
+        ctx.mats.insert(name.clone(), MatEntry { rel, span });
+        replace_at(
+            work,
+            &path,
+            PhysNode {
+                algo: Algo::MatScanM(name),
+                schema: breaker.schema.clone(),
+                children: vec![breaker],
+            },
+        );
+
+        // the misestimate monitor — unless a wire fault already
+        // re-planned this breaker mid-drain (never re-plan twice over one
+        // observation)
+        let divergence = est_rows.map(|est| {
+            let e = est.max(1.0);
+            let a = (actual as f64).max(1.0);
+            (a / e).max(e / a)
+        });
+        let triggered =
+            !slot.has_event("replan") && divergence.map(|d| d >= replan.ratio).unwrap_or(false);
+        if !triggered {
+            continue;
         }
-        // run what remains of the plan
-        let mut root = ctx.build_mid(&work)?;
-        root.open()?;
-        let schema = root.schema().clone();
-        let mut rows = Vec::new();
-        while let Some(b) = root.next_batch_of(exec.batch_rows)? {
-            rows.extend(b.into_rows());
-        }
-        root.close()?;
-        Ok(Relation::new(schema, rows))
-    })();
-    let wall = started.elapsed();
-    for t in &ctx.temp_tables {
-        let _ = conn.execute(&format!("DROP TABLE IF EXISTS {t}"));
+        let old_cost = session::estimate_plan_with(
+            &remainder_only(work),
+            &replan.catalog,
+            materialized,
+            &factors,
+            naive,
+        )
+        .ok();
+        let logical = phys_to_logical(work)?;
+        let Ok(new) = opt::reoptimize(
+            &logical,
+            pinned.clone(),
+            replan.catalog.clone(),
+            factors,
+            replan.opt,
+            replan.residency.clone(),
+            materialized.clone(),
+        ) else {
+            // no feasible alternative: keep the running plan
+            continue;
+        };
+        let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
+        slot.add_event(
+            "cardinality-replan",
+            format!(
+                "est {est:.1} rows, actual {actual} ({div:.1}x off): \
+                 remainder re-optimized, est gain {gain:.0}us",
+                est = est_rows.unwrap_or(0.0),
+                div = divergence.unwrap_or(0.0),
+            ),
+        );
+        slot.add_counter("replans", 1);
+        slot.add_counter("replan_gain_est", gain as u64);
+        ctx.spliced = true;
+        // splice: the optimizer returns bare MATSCAN^M leaves; re-attach
+        // each one's consumed subtree for rendering
+        let mut subtrees = HashMap::new();
+        collect_mat_subtrees(work, &mut subtrees);
+        *work = attach_mat_subtrees(new.plan, &subtrees);
     }
-    let rel = result?;
-    let wire = conn.wire_time().saturating_sub(wire_before);
-    let steps = resolve_steps(ctx.collector, ctx.algos);
-    let report = ExecReport { rows: rel.len(), wall, wire, steps };
-    Ok(AdaptiveRun { rel, report, plan: work, catalog, replans })
+    Ok(())
 }
 
 /// Pipeline breakers: operators that buffer (or can cheaply stage) their
@@ -523,7 +481,7 @@ fn replace_at(n: &mut PhysNode, path: &[usize], new: PhysNode) {
 /// conservative derivation (`none` when unknown) used to pin the
 /// delivery order across a re-plan and to record what order each
 /// materialization holds.
-fn delivered_order(n: &PhysNode, mats: &HashMap<String, SortSpec>) -> SortSpec {
+fn delivered_order(n: &PhysNode, mats: &Materialized) -> SortSpec {
     let child = |i: usize| n.children.get(i).map(|c| delivered_order(c, mats)).unwrap_or_default();
     match &n.algo {
         Algo::SortM(s) | Algo::SortXM(s, _) | Algo::SortD(s) => s.clone(),
@@ -535,7 +493,7 @@ fn delivered_order(n: &PhysNode, mats: &HashMap<String, SortSpec>) -> SortSpec {
         Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) => {
             SortSpec::by(eq.iter().map(|(l, _)| l.clone()))
         }
-        Algo::MatScanM(name) => mats.get(name).cloned().unwrap_or_default(),
+        Algo::MatScanM(name) => mats.get(name).map(|m| m.order.clone()).unwrap_or_default(),
         // order-preserving pass-throughs
         Algo::TransferM
         | Algo::TransferD
@@ -646,8 +604,8 @@ struct Ctx<'a> {
     /// plan: spans created after that point are annotated so the
     /// cost-factor feedback loop skips their (mixed-plan) observations.
     spliced: bool,
-    /// Per-execution knobs threaded into every operator constructor.
-    exec: ExecOpts,
+    /// Rows per batch, threaded into every operator constructor.
+    batch_rows: usize,
     /// Cost factors for the cache-maintenance decision (refresh vs
     /// refetch vs drop) at each `TRANSFER^M`.
     factors: CostFactors,
@@ -698,25 +656,19 @@ enum CacheDecision {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(
-        conn: &'a Connection,
-        trace: bool,
-        cache: Option<&Arc<MidCache>>,
-        exec: ExecOpts,
-        factors: CostFactors,
-    ) -> Ctx<'a> {
+    fn new(conn: &'a Connection, opts: &ExecOptions) -> Ctx<'a> {
         Ctx {
             conn,
             temp_tables: Vec::new(),
             collector: Collector::new(),
             algos: Vec::new(),
             temp_seq: 0,
-            trace,
-            cache: cache.cloned(),
+            trace: opts.trace || opts.replan.is_some(),
+            cache: opts.cache.clone(),
             mats: HashMap::new(),
             spliced: false,
-            exec,
-            factors,
+            batch_rows: opts.batch_rows.max(1),
+            factors: opts.factors,
         }
     }
 
@@ -850,37 +802,40 @@ impl<'a> Ctx<'a> {
             }
             Algo::SortM(spec) => {
                 let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Sort::with_opts(c, spec.clone(), self.exec)) as BoxCursor, vec![id])
+                (
+                    Box::new(Sort::with_batch_rows(c, spec.clone(), self.batch_rows)) as BoxCursor,
+                    vec![id],
+                )
             }
             Algo::SortXM(spec, run_rows) => {
                 let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (
-                    Box::new(ExternalSort::with_opts(c, spec.clone(), *run_rows, self.exec))
-                        as BoxCursor,
-                    vec![id],
-                )
+                (Box::new(ExternalSort::new(c, spec.clone(), *run_rows)) as BoxCursor, vec![id])
             }
             Algo::MergeJoinM(eq) => {
                 let (l, lid) = self.build_mid_indexed(&node.children[0])?;
                 let (r, rid) = self.build_mid_indexed(&node.children[1])?;
-                (Box::new(MergeJoin::with_opts(l, r, eq, self.exec)?) as BoxCursor, vec![lid, rid])
+                (
+                    Box::new(MergeJoin::with_batch_rows(l, r, eq, self.batch_rows)?) as BoxCursor,
+                    vec![lid, rid],
+                )
             }
             Algo::TMergeJoinM(eq) => {
                 let (l, lid) = self.build_mid_indexed(&node.children[0])?;
                 let (r, rid) = self.build_mid_indexed(&node.children[1])?;
                 (
-                    Box::new(TemporalMergeJoin::with_opts(l, r, eq, self.exec)?) as BoxCursor,
+                    Box::new(TemporalMergeJoin::with_batch_rows(l, r, eq, self.batch_rows)?)
+                        as BoxCursor,
                     vec![lid, rid],
                 )
             }
             Algo::TAggrM { group_by, aggs } => {
                 let (c, id) = self.build_mid_indexed(&node.children[0])?;
                 (
-                    Box::new(TemporalAggregate::with_opts(
+                    Box::new(TemporalAggregate::with_batch_rows(
                         c,
                         group_by.clone(),
                         aggs.clone(),
-                        self.exec,
+                        self.batch_rows,
                     )?) as BoxCursor,
                     vec![id],
                 )
@@ -891,7 +846,7 @@ impl<'a> Ctx<'a> {
             }
             Algo::CoalesceM => {
                 let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Coalesce::with_opts(c, self.exec)?) as BoxCursor, vec![id])
+                (Box::new(Coalesce::with_batch_rows(c, self.batch_rows)?) as BoxCursor, vec![id])
             }
             Algo::TDiffM => {
                 let (l, lid) = self.build_mid_indexed(&node.children[0])?;
@@ -1061,6 +1016,7 @@ impl<'a> Ctx<'a> {
                 table,
                 schema: node.schema.clone(),
                 input: Some(input),
+                batch_rows: self.batch_rows,
                 rows_loaded: 0,
                 sink: None,
                 wire_retries: 0,
@@ -1643,6 +1599,8 @@ struct TransferDCursor {
     table: String,
     schema: Arc<Schema>,
     input: Option<BoxCursor>,
+    /// Rows per batch pulled from the input.
+    batch_rows: usize,
     rows_loaded: u64,
     /// Sink for fault/retry events raised during the bulk load.
     sink: Option<Arc<SpanSlot>>,
@@ -1661,10 +1619,7 @@ impl Cursor for TransferDCursor {
             .take()
             .ok_or_else(|| tango_xxl::ExecError::State("TRANSFER^D reopened".into()))?;
         input.open()?;
-        let mut rows = Vec::new();
-        while let Some(b) = input.next_batch()? {
-            rows.extend(b.into_rows());
-        }
+        let rows = drain_of(input.as_mut(), self.batch_rows)?;
         input.close()?;
         self.rows_loaded = rows.len() as u64;
         // Sample the connection meters around the load alone, so nested
@@ -1767,7 +1722,7 @@ mod tests {
                 bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), scan(&conn, "POSITION")),
             ),
         );
-        let (rel, report) = execute(&conn, &plan).unwrap();
+        let Run { rel, report, .. } = execute(&conn, &plan, &ExecOptions::default()).unwrap();
         assert_eq!(rel.len(), 5); // Figure 3(b)
                                   // temp table dropped afterwards
         assert!(!conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")));
@@ -1802,7 +1757,7 @@ mod tests {
         };
         let eq = vec![("PosID".to_string(), "PosID".to_string())];
         let plan = un(Algo::TransferM, bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), ghost));
-        assert!(execute(&conn, &plan).is_err());
+        assert!(execute(&conn, &plan, &ExecOptions::default()).is_err());
         assert!(!conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")));
     }
 
@@ -1810,7 +1765,7 @@ mod tests {
     fn dbms_rooted_plans_are_rejected() {
         let conn = setup();
         let plan = scan(&conn, "POSITION");
-        assert!(execute(&conn, &plan).is_err());
+        assert!(execute(&conn, &plan, &ExecOptions::default()).is_err());
     }
 
     #[test]
@@ -1823,7 +1778,7 @@ mod tests {
             )),
             un(Algo::TransferM, scan(&conn, "POSITION")),
         );
-        let (rel, report) = execute(&conn, &plan).unwrap();
+        let Run { rel, report, .. } = execute(&conn, &plan, &ExecOptions::default()).unwrap();
         assert!(rel.is_empty());
         assert_eq!(report.rows, 0);
         let _ = tup![1]; // keep the tup! import exercised

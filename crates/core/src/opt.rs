@@ -44,6 +44,31 @@ pub struct GroupProps {
 /// Base-relation catalog snapshot fed by the Statistics Collector.
 pub type Catalog = HashMap<String, (Arc<Schema>, RelationStats)>;
 
+/// A mid-query materialization (`#MATn`) the re-planner can read: its
+/// schema and observed statistics, and the order its rows are held in.
+#[derive(Debug, Clone)]
+pub struct Materialization {
+    /// Schema and observed statistics, shaped like a [`Catalog`] entry.
+    pub table: (Arc<Schema>, RelationStats),
+    /// The order the materialized rows are held in.
+    pub order: SortSpec,
+}
+
+/// Mid-query materializations by upper-case name: an overlay over the
+/// base-table [`Catalog`], which stays untouched.
+pub type Materialized = HashMap<String, Materialization>;
+
+/// Look `name` up in the materialization overlay first, then in the
+/// base-table catalog.
+pub fn lookup_table<'a>(
+    catalog: &'a Catalog,
+    materialized: &'a Materialized,
+    name: &str,
+) -> Option<&'a (Arc<Schema>, RelationStats)> {
+    let key = name.to_uppercase();
+    materialized.get(&key).map(|m| &m.table).or_else(|| catalog.get(&key))
+}
+
 /// Optimizer feature switches (for the paper's comparisons and the
 /// ablation studies).
 #[derive(Debug, Clone, Copy)]
@@ -86,8 +111,8 @@ impl Default for OptOptions {
 
 /// The Volcano semantics for TANGO.
 pub struct TangoSem {
-    /// Base-relation statistics snapshot.
-    pub catalog: Catalog,
+    /// Base-relation statistics snapshot, shared with the session.
+    pub catalog: Arc<Catalog>,
     /// Cost factors used by the implementations' formulas.
     pub factors: CostFactors,
     /// Middleware sort-memory budget (see [`OptOptions::mid_sort_budget`]).
@@ -99,25 +124,25 @@ pub struct TangoSem {
     /// [`CostFactors::p_tm`] — cheap enough to flip join-side placement
     /// (the Figure 10 "one argument already resides" scenario), while
     /// staying strictly positive so transfers are never free.
-    pub residency: Residency,
+    pub residency: Arc<Residency>,
     /// Mid-query materialized intermediates available to this run, by
-    /// name (normally `#MATn`), with the order each was materialized in.
-    /// A `Get` over one of these becomes `MATSCAN^M` at the middleware
-    /// (delivering the stored order for free) and is *excluded* from
-    /// `SCAN^D` — the DBMS has no such table. Empty outside mid-query
-    /// re-optimization.
-    pub materialized: HashMap<String, SortSpec>,
+    /// name (normally `#MATn`), with their observed statistics and the
+    /// order each was materialized in. A `Get` over one of these becomes
+    /// `MATSCAN^M` at the middleware (delivering the stored order for
+    /// free) and is *excluded* from `SCAN^D` — the DBMS has no such
+    /// table. Empty outside mid-query re-optimization.
+    pub materialized: Materialized,
     /// Estimation mode (see [`OptOptions::naive_overlaps`]).
     pub naive_overlaps: bool,
 }
 
 impl TangoSem {
     fn table(&self, name: &str) -> Option<&(Arc<Schema>, RelationStats)> {
-        self.catalog.get(&name.to_uppercase())
+        lookup_table(&self.catalog, &self.materialized, name)
     }
 
     fn mat_order(&self, name: &str) -> Option<&SortSpec> {
-        self.materialized.get(&name.to_uppercase())
+        self.materialized.get(&name.to_uppercase()).map(|m| &m.order)
     }
 
     /// Order produced by `TAGGR^M`: grouping attributes then `T1`.
@@ -533,30 +558,18 @@ pub struct Optimized {
     pub rule_fires: Vec<(&'static str, usize)>,
 }
 
-/// Optimize a logical plan against a catalog snapshot, with nothing
-/// resident in the middleware ([`optimize_resident`] with an empty
-/// [`Residency`]).
-pub fn optimize_logical(
-    logical: &Logical,
-    catalog: Catalog,
-    factors: CostFactors,
-    options: OptOptions,
-) -> Result<Optimized> {
-    optimize_resident(logical, catalog, factors, options, Residency::default())
-}
-
 /// Optimize a logical plan against a catalog snapshot *and* a snapshot
 /// of what the middleware relation cache holds. Residency only changes
 /// `TRANSFER^M` enforcer pricing — plan correctness never depends on the
 /// snapshot being current (a stale hit simply re-fetches at runtime).
 pub fn optimize_resident(
     logical: &Logical,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
+    residency: Arc<Residency>,
 ) -> Result<Optimized> {
-    optimize_with(logical, None, catalog, factors, options, residency, HashMap::new())
+    optimize_with(logical, None, catalog, factors, options, residency, Materialized::new())
 }
 
 /// Mid-query re-optimization entry point: optimize the unexecuted
@@ -565,17 +578,16 @@ pub fn optimize_resident(
 ///
 /// `root_order` pins the delivery order the original plan guaranteed (so
 /// the spliced plan returns byte-identical results); `materialized` names
-/// the available mid-query materializations and the order each holds,
-/// and `catalog` must contain their schemas and *actual* (observed)
-/// statistics alongside the base tables.
+/// the available mid-query materializations with their schemas, *actual*
+/// (observed) statistics and the order each holds.
 pub fn reoptimize(
     logical: &Logical,
     root_order: SortSpec,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
-    materialized: HashMap<String, SortSpec>,
+    residency: Arc<Residency>,
+    materialized: Materialized,
 ) -> Result<Optimized> {
     optimize_with(logical, Some(root_order), catalog, factors, options, residency, materialized)
 }
@@ -584,11 +596,11 @@ pub fn reoptimize(
 fn optimize_with(
     logical: &Logical,
     pinned_order: Option<SortSpec>,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
-    materialized: HashMap<String, SortSpec>,
+    residency: Arc<Residency>,
+    materialized: Materialized,
 ) -> Result<Optimized> {
     let (tree, order) = to_initial(logical)?;
     let order = pinned_order.unwrap_or(order);

@@ -27,17 +27,17 @@ use crate::cache::{MidCache, Residency, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHAR
 use crate::calibrate::{self, Calibration};
 use crate::collector;
 use crate::cost::CostFactors;
-use crate::engine::{self, ExecReport};
+use crate::engine::{self, ExecOptions, ExecReport};
 use crate::error::{Result, TangoError};
 use crate::explain::{self, NodeEstimate};
 use crate::feedback;
-use crate::opt::{self, Catalog, OptOptions};
+use crate::opt::{self, Catalog, Materialized, OptOptions};
 use crate::phys::PhysNode;
 use crate::rewrite::{RewriteOutcome, Rewriter};
 use crate::tsql;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Logical, Relation, Schema};
+use tango_algebra::{Logical, Relation, Schema, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, Database};
 use volcano::SearchStats;
 
@@ -77,16 +77,9 @@ pub struct TangoOptions {
     /// next lookup — the baseline the `cache_maintenance` bench
     /// compares against).
     pub cache_refresh: bool,
-    /// Rows per batch pulled between operators, per session. `None` (the
-    /// default) falls back to the deprecated process-wide
-    /// [`tango_xxl::set_batch_rows`] knob.
-    pub batch_rows: Option<usize>,
-    /// Worker threads for the morsel-parallel middleware operators
-    /// (sorts, joins, TAGGR). `1` (the default) runs everything
-    /// sequentially — today's exact plans, traces and golden EXPLAIN
-    /// ANALYZE output; `0` auto-sizes to the host's available
-    /// parallelism.
-    pub workers: usize,
+    /// Rows per batch pulled between operators (1 = row-at-a-time).
+    /// Default [`DEFAULT_BATCH_ROWS`].
+    pub batch_rows: usize,
     /// Rewrite rule packs applied between the parser and the optimizer,
     /// in order — names resolved under `rules/` or literal paths (see
     /// [`crate::rewrite`] and `docs/REWRITES.md`). Empty (the default)
@@ -105,24 +98,8 @@ impl Default for TangoOptions {
             cache_shards: DEFAULT_CACHE_SHARDS,
             cache_admission: true,
             cache_refresh: true,
-            batch_rows: None,
-            workers: 1,
+            batch_rows: DEFAULT_BATCH_ROWS,
             rewrite_packs: Vec::new(),
-        }
-    }
-}
-
-impl TangoOptions {
-    /// Resolve the per-execution knobs: the session's `batch_rows`
-    /// (falling back to the process-wide default) and the worker-pool
-    /// width (`0` = the host's available parallelism).
-    pub fn exec_opts(&self) -> tango_xxl::ExecOpts {
-        tango_xxl::ExecOpts {
-            batch_rows: self.batch_rows.unwrap_or_else(tango_xxl::batch_rows).max(1),
-            workers: match self.workers {
-                0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-                n => n,
-            },
         }
     }
 }
@@ -245,7 +222,9 @@ pub struct Tango {
     conn: Connection,
     factors: CostFactors,
     options: TangoOptions,
-    catalog: Option<Catalog>,
+    /// The Statistics Collector's catalog snapshot, shared (not copied)
+    /// with the optimizer and the re-planner of every query.
+    catalog: Option<Arc<Catalog>>,
     cache: Arc<MidCache>,
     /// Loaded rewriter, cached per pack list (reloaded when
     /// [`TangoOptions::rewrite_packs`] changes).
@@ -409,15 +388,28 @@ impl Tango {
 
     /// Refresh the Statistics Collector's catalog snapshot.
     pub fn refresh_statistics(&mut self) -> Result<()> {
-        self.catalog = Some(collector::collect(&self.conn, self.options.use_histograms)?);
+        let catalog = collector::collect(&self.conn, self.options.use_histograms)?;
+        self.catalog = Some(Arc::new(catalog));
         Ok(())
     }
 
-    fn catalog(&mut self) -> Result<&Catalog> {
+    /// The current catalog snapshot (collected on first use).
+    fn catalog(&mut self) -> Result<Arc<Catalog>> {
         if self.catalog.is_none() {
             self.refresh_statistics()?;
         }
-        Ok(self.catalog.as_ref().unwrap())
+        Ok(self.catalog.clone().unwrap())
+    }
+
+    /// The execution options of this session, without a re-plan section.
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            trace: true,
+            cache: self.active_cache().cloned(),
+            batch_rows: self.options.batch_rows,
+            factors: self.factors,
+            replan: None,
+        }
     }
 
     /// Parse temporal SQL into the initial (all-DBMS) logical plan.
@@ -469,29 +461,55 @@ impl Tango {
 
     /// Optimize an already-built logical plan.
     pub fn optimize_logical(&mut self, logical: Logical) -> Result<OptimizedQuery> {
-        let options = self.options.opt;
-        let factors = self.factors;
-        let catalog = self.catalog()?.clone();
-        let residency = self.residency();
+        let catalog = self.catalog()?;
+        let residency = Arc::new(self.residency());
+        let mut optimized = self.optimize_against(logical, &catalog, &residency)?;
+        optimized.node_estimates =
+            self.estimate_nodes(&optimized.plan, &catalog, &Materialized::new());
+        Ok(optimized)
+    }
+
+    /// Run the Volcano optimizer against the given catalog and residency
+    /// snapshots. The returned plan carries no node estimates yet.
+    fn optimize_against(
+        &self,
+        logical: Logical,
+        catalog: &Arc<Catalog>,
+        residency: &Arc<Residency>,
+    ) -> Result<OptimizedQuery> {
         let t0 = Instant::now();
-        let optimized =
-            opt::optimize_resident(&logical, catalog.clone(), factors, options, residency)?;
-        let optimize_time = t0.elapsed();
-        let node_estimates =
-            estimate_plan_nodes_with(&optimized.plan, &catalog, &factors, options.naive_overlaps)
-                .unwrap_or_default();
+        let optimized = opt::optimize_resident(
+            &logical,
+            catalog.clone(),
+            self.factors,
+            self.options.opt,
+            residency.clone(),
+        )?;
         Ok(OptimizedQuery {
             logical,
             plan: optimized.plan,
             est_cost_us: optimized.cost,
             classes: optimized.classes,
             elements: optimized.elements,
-            optimize_time,
+            optimize_time: t0.elapsed(),
             rule_fires: optimized.rule_fires,
             search: optimized.search,
-            node_estimates,
+            node_estimates: Vec::new(),
             rewrites: RewriteOutcome::default(),
         })
+    }
+
+    /// Per-node predictions for `plan` under the session's factors and
+    /// estimation mode (empty if some table has no statistics).
+    fn estimate_nodes(
+        &self,
+        plan: &PhysNode,
+        catalog: &Catalog,
+        materialized: &Materialized,
+    ) -> Vec<NodeEstimate> {
+        let naive = self.options.opt.naive_overlaps;
+        estimate_plan_nodes_with(plan, catalog, materialized, &self.factors, naive)
+            .unwrap_or_default()
     }
 
     /// `EXPLAIN`: optimize `sql` and render the chosen plan with site
@@ -529,54 +547,39 @@ impl Tango {
     /// is then the plan as actually executed, with each staged breaker
     /// under a `MATSCAN^M` node.
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
-        let mut optimized = self.optimize(sql)?;
-        let (rel, exec) = match self.options.opt.replan_ratio {
-            Some(ratio) => {
-                let cfg = engine::AdaptiveOptions {
-                    catalog: self.catalog()?.clone(),
-                    factors: self.factors,
-                    opt: self.options.opt,
-                    residency: self.residency(),
-                    ratio,
-                    histogram_buckets: if self.options.use_histograms {
-                        tango_minidb::catalog::HISTOGRAM_BUCKETS
-                    } else {
-                        0
-                    },
-                    exec: self.options.exec_opts(),
-                };
-                let run = engine::execute_adaptive(
-                    &self.conn,
-                    &optimized.plan,
-                    self.active_cache(),
-                    cfg,
-                )?;
-                // the executed plan differs from the optimized one (staged
-                // breakers became MATSCAN^M nodes; a re-plan may have
-                // spliced): adopt it so EXPLAIN ANALYZE shows what ran
-                optimized.node_estimates = estimate_plan_nodes_with(
-                    &run.plan,
-                    &run.catalog,
-                    &self.factors,
-                    self.options.opt.naive_overlaps,
-                )
-                .unwrap_or_default();
-                optimized.plan = run.plan;
-                (run.rel, run.report)
-            }
-            None => engine::execute_cached_full(
-                &self.conn,
-                &optimized.plan,
-                true,
-                self.active_cache(),
-                self.options.exec_opts(),
-                self.factors,
-            )?,
-        };
+        let logical = self.parse(sql)?;
+        let (logical, rewrites) = self.apply_rewrites(logical)?;
+        // one catalog and one residency snapshot serve the optimizer and
+        // the re-planner alike
+        let catalog = self.catalog()?;
+        let residency = Arc::new(self.residency());
+        let mut optimized = self.optimize_against(logical, &catalog, &residency)?;
+        optimized.rewrites = rewrites;
+        let replan = self.options.opt.replan_ratio.map(|ratio| engine::Replan {
+            catalog: catalog.clone(),
+            opt: self.options.opt,
+            residency,
+            ratio,
+            histogram_buckets: if self.options.use_histograms {
+                tango_minidb::catalog::HISTOGRAM_BUCKETS
+            } else {
+                0
+            },
+        });
+        let run = engine::execute(
+            &self.conn,
+            &optimized.plan,
+            &ExecOptions { replan, ..self.exec_options() },
+        )?;
+        // estimate the plan that actually ran: staged breakers became
+        // MATSCAN^M nodes and a re-plan may have spliced, so EXPLAIN
+        // ANALYZE shows what ran
+        optimized.node_estimates = self.estimate_nodes(&run.plan, &catalog, &run.materialized);
+        optimized.plan = run.plan;
+        let (rel, mut exec) = (run.rel, run.report);
         if self.options.feedback {
             feedback::apply_feedback(&mut self.factors, &exec, self.options.feedback_alpha);
         }
-        let mut exec = exec;
         // surface pre-optimization rewrites on the plan root, so EXPLAIN
         // ANALYZE and the JSON trace carry them next to the execution
         // counters (packs off ⇒ nothing changes, golden outputs intact)
@@ -600,45 +603,35 @@ impl Tango {
     /// Execute a hand-built physical plan (the performance study runs
     /// the paper's fixed Plans 1..n this way).
     pub fn execute_physical(&mut self, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
-        let (rel, exec) = engine::execute_cached_full(
-            &self.conn,
-            plan,
-            true,
-            self.active_cache(),
-            self.options.exec_opts(),
-            self.factors,
-        )?;
+        let run = engine::execute(&self.conn, plan, &self.exec_options())?;
         if self.options.feedback {
-            feedback::apply_feedback(&mut self.factors, &exec, self.options.feedback_alpha);
+            feedback::apply_feedback(&mut self.factors, &run.report, self.options.feedback_alpha);
         }
-        Ok((rel, exec))
+        Ok((run.rel, run.report))
     }
 
     /// Evaluate the estimated cost of a hand-built physical plan under the
     /// current factors and statistics (used by plan-choice experiments).
     pub fn estimate_physical(&mut self, plan: &PhysNode) -> Result<f64> {
-        let catalog = self.catalog()?.clone();
-        estimate_plan(plan, &catalog, &self.factors)
+        let catalog = self.catalog()?;
+        estimate_plan_with(plan, &catalog, &Materialized::new(), &self.factors, false)
     }
 }
 
 /// Bottom-up cost estimate of a physical plan: derive statistics per node
 /// (using the same machinery as the optimizer) and sum the formula costs.
-fn estimate_plan(plan: &PhysNode, catalog: &Catalog, factors: &CostFactors) -> Result<f64> {
-    estimate_plan_with(plan, catalog, factors, false)
-}
-
-/// [`estimate_plan`] with the optimizer's `naive_overlaps` mode threaded
-/// through, so the engine's re-plan driver prices remainders exactly as
-/// the (possibly deliberately naive) optimizer would.
+/// `naive_overlaps` is the optimizer's estimation mode, so the engine's
+/// re-planner prices remainders exactly as the (possibly deliberately
+/// naive) optimizer would.
 pub(crate) fn estimate_plan_with(
     plan: &PhysNode,
     catalog: &Catalog,
+    materialized: &Materialized,
     factors: &CostFactors,
     naive_overlaps: bool,
 ) -> Result<f64> {
     let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, factors, naive_overlaps, &mut out).map(|(_, c)| c)
+    go_estimate(plan, 0, catalog, materialized, factors, naive_overlaps, &mut out).map(|(_, c)| c)
 }
 
 /// Per-node predictions for the plan, indexed in pre-order (the numbering
@@ -646,11 +639,12 @@ pub(crate) fn estimate_plan_with(
 pub(crate) fn estimate_plan_nodes_with(
     plan: &PhysNode,
     catalog: &Catalog,
+    materialized: &Materialized,
     factors: &CostFactors,
     naive_overlaps: bool,
 ) -> Result<Vec<NodeEstimate>> {
     let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, factors, naive_overlaps, &mut out)?;
+    go_estimate(plan, 0, catalog, materialized, factors, naive_overlaps, &mut out)?;
     Ok(out)
 }
 
@@ -658,6 +652,7 @@ fn go_estimate(
     n: &PhysNode,
     pre: usize,
     catalog: &Catalog,
+    materialized: &Materialized,
     factors: &CostFactors,
     naive_overlaps: bool,
     out: &mut [NodeEstimate],
@@ -668,7 +663,8 @@ fn go_estimate(
         let mut child_cost = 0.0;
         let mut cpre = pre + 1;
         for c in &n.children {
-            let (s, cost) = go_estimate(c, cpre, catalog, factors, naive_overlaps, out)?;
+            let (s, cost) =
+                go_estimate(c, cpre, catalog, materialized, factors, naive_overlaps, out)?;
             cpre += c.node_count();
             child_stats.push(s);
             child_cost += cost;
@@ -677,8 +673,7 @@ fn go_estimate(
             // MATSCAN^M estimates come from the *observed* statistics the
             // re-plan driver registered under the materialization's name,
             // not from the consumed subtree kept for rendering.
-            Algo::ScanD(t) | Algo::MatScanM(t) => catalog
-                .get(&t.to_uppercase())
+            Algo::ScanD(t) | Algo::MatScanM(t) => opt::lookup_table(catalog, materialized, t)
                 .map(|(_, s)| s.clone())
                 .ok_or_else(|| TangoError::Optimizer(format!("no statistics for {t}")))?,
             Algo::FilterM(p) | Algo::FilterD(p) => {

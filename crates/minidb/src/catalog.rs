@@ -21,6 +21,9 @@ pub const HISTOGRAM_BUCKETS: usize = 20;
 pub struct Table {
     pub schema: Arc<Schema>,
     pub rows: Vec<Tuple>,
+    /// Statistics of the last ANALYZE. DML leaves them in place (stale
+    /// until the next ANALYZE), so a table once analyzed never drops out
+    /// of the dictionary views.
     pub stats: Option<RelationStats>,
     /// Monotonic write-version stamp, drawn from the database-wide
     /// [`DbInner::version_clock`]. Bumped by every DML statement that
@@ -229,7 +232,6 @@ impl Database {
             }
         }
         table.rows.extend(rows.iter().cloned());
-        table.stats = None; // stale until re-ANALYZEd
         inner.bump_version(name);
         let v = inner.version_clock;
         if let Some(log) = inner.delta_logs.get_mut(&key) {
@@ -270,7 +272,6 @@ impl Database {
             }
         }
         let removed = (before - table.rows.len()) as u64;
-        table.stats = None;
         inner.bump_version(name);
         let v = inner.version_clock;
         if let Some(log) = inner.delta_logs.get_mut(&key) {
@@ -315,7 +316,6 @@ impl Database {
                 n += 1;
             }
         }
-        table.stats = None;
         inner.bump_version(name);
         let v = inner.version_clock;
         if n > 0 {

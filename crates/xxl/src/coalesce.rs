@@ -7,9 +7,9 @@
 //! The input must be sorted on (all non-temporal attributes, `T1`); the
 //! output is sorted the same way.
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, Result};
 use std::sync::Arc;
-use tango_algebra::{Period, Schema, Tuple, Type, Value};
+use tango_algebra::{Period, Schema, Tuple, Type, Value, DEFAULT_BATCH_ROWS};
 
 /// The coalescing cursor: merges value-equivalent tuples with
 /// overlapping or adjacent periods into maximal periods.
@@ -29,13 +29,13 @@ impl Coalesce {
     /// Build over `input`, which must be temporal and sorted on (value
     /// attributes, `T1`).
     pub fn new(input: BoxCursor) -> Result<Self> {
-        Self::with_opts(input, ExecOpts::default())
+        Self::with_batch_rows(input, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`Coalesce::new`] with explicit execution knobs (the merge
-    /// scan is inherently sequential, so only `batch_rows` applies).
-    pub fn with_opts(input: BoxCursor, opts: ExecOpts) -> Result<Self> {
-        let input = BatchBuffered::with_rows(input, opts.batch_rows);
+    /// Like [`Coalesce::new`], pulling the input `batch_rows` rows at a
+    /// time.
+    pub fn with_batch_rows(input: BoxCursor, batch_rows: usize) -> Result<Self> {
+        let input = BatchBuffered::with_rows(input, batch_rows);
         let schema = input.schema();
         let period = schema
             .period()

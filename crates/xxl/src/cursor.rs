@@ -8,50 +8,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tango_algebra::{AlgebraError, Batch, Relation, Schema, Tuple, DEFAULT_BATCH_ROWS};
-
-/// The process-wide batch-size knob, defaulting to
-/// [`DEFAULT_BATCH_ROWS`]. A value of 1 degenerates batch-at-a-time
-/// execution to the row-at-a-time baseline (used by the batch-size
-/// ablation benchmark).
-static BATCH_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH_ROWS);
-
-/// The number of rows [`Cursor::next_batch`] targets per batch.
-pub fn batch_rows() -> usize {
-    BATCH_ROWS.load(Ordering::Relaxed)
-}
-
-/// Set the process-wide target batch size (clamped to at least 1).
-///
-/// **Deprecated default**: concurrent sessions in one process share this
-/// atomic, so prefer the per-session knob (`TangoOptions::batch_rows` in
-/// `tango-core`, threaded to operators as [`ExecOpts::batch_rows`]). The
-/// global remains as the default for sessions that don't set their own.
-pub fn set_batch_rows(n: usize) {
-    BATCH_ROWS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Per-execution knobs threaded from the session options through the
-/// engine into every operator constructor (`with_opts`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// Rows per batch pulled between operators. Captured once per
-    /// execution so concurrent sessions cannot race on the process-wide
-    /// [`set_batch_rows`] knob.
-    pub batch_rows: usize,
-    /// Worker threads for morsel-driven parallel pipeline breakers
-    /// (sorts, joins, TAGGR). `1` = sequential execution — today's exact
-    /// plans, traces and golden EXPLAIN ANALYZE output.
-    pub workers: usize,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts { batch_rows: batch_rows(), workers: 1 }
-    }
-}
 
 /// Errors raised during pipelined execution.
 #[derive(Debug, Clone)]
@@ -122,14 +80,14 @@ pub trait Cursor: Send {
     /// Produce the next tuple, or `None` at end of stream.
     fn next(&mut self) -> Result<Option<Tuple>>;
 
-    /// Produce the next batch of up to [`batch_rows`] tuples, or `None`
+    /// Produce the next batch of up to [`DEFAULT_BATCH_ROWS`] tuples, or `None`
     /// at end of stream. Equivalent to calling [`Cursor::next`]
     /// repeatedly — the default implementation does exactly that, so
     /// every row-at-a-time cursor keeps working — but native
     /// implementations amortize per-tuple dispatch, trace accounting and
     /// wire bookkeeping over the whole batch.
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        self.next_batch_of(batch_rows())
+        self.next_batch_of(DEFAULT_BATCH_ROWS)
     }
 
     /// Like [`Cursor::next_batch`] with an explicit row target. Batches
@@ -183,16 +141,13 @@ pub fn collect(mut c: BoxCursor) -> Result<Relation> {
     Ok(Relation::new(schema, tuples))
 }
 
-/// Like [`collect`], but pulls whole batches via
-/// [`Cursor::next_batch`] — the differential tests compare this against
-/// [`collect`] to prove the two pull styles agree byte for byte.
-pub fn collect_batched(mut c: BoxCursor) -> Result<Relation> {
+/// Like [`collect`], but pulls whole batches of up to `rows` tuples via
+/// [`Cursor::next_batch_of`] — the differential tests compare this
+/// against [`collect`] to prove the two pull styles agree byte for byte.
+pub fn collect_batched(mut c: BoxCursor, rows: usize) -> Result<Relation> {
     c.open()?;
     let schema = c.schema().clone();
-    let mut tuples = Vec::new();
-    while let Some(b) = c.next_batch()? {
-        tuples.extend(b.into_rows());
-    }
+    let tuples = drain_of(c.as_mut(), rows)?;
     c.close()?;
     Ok(Relation::new(schema, tuples))
 }
@@ -240,12 +195,11 @@ pub struct BatchBuffered {
 }
 
 impl BatchBuffered {
-    /// Wrap `inner`; rows are pulled through the wrapper from `open` on.
-    /// The per-refill batch size is captured from the process-wide default
-    /// at construction; use [`BatchBuffered::with_rows`] for a per-session
-    /// size.
+    /// Wrap `inner`; rows are pulled through the wrapper from `open` on,
+    /// [`DEFAULT_BATCH_ROWS`] per refill. Use [`BatchBuffered::with_rows`]
+    /// for a per-session size.
     pub fn new(inner: BoxCursor) -> Self {
-        Self::with_rows(inner, batch_rows())
+        Self::with_rows(inner, DEFAULT_BATCH_ROWS)
     }
 
     /// Wrap `inner` with an explicit per-refill batch-size target.

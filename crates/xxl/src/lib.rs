@@ -16,15 +16,12 @@
 //! filter, project, sort, dedup, aggregation) produce batches natively
 //! over tango-algebra's columnar `Batch` layout, and the stream-merging
 //! operators amortize their input dispatch with
-//! [`cursor::BatchBuffered`]. Execution knobs travel per operator
-//! instance as [`ExecOpts`] (every algorithm has a `with_opts`
-//! constructor): `batch_rows` sets the batch size (1 degenerates to
-//! row-at-a-time execution; the process-wide
-//! [`cursor::batch_rows`]/[`cursor::set_batch_rows`] knob survives as
-//! the deprecated default) and `workers` sizes the morsel-driven worker
-//! pool of the [`par`] module — the heavy stages (sorts, the merge
-//! joins, `TAGGR^M`) split into ~64k-row morsels, execute on scoped
-//! threads and merge order-preserving, byte-identical to `workers = 1`.
+//! [`cursor::BatchBuffered`]. The batch size is a per-operator value:
+//! the operators that pull their inputs in batches have a
+//! `with_batch_rows` constructor (1 degenerates to row-at-a-time
+//! execution), and `new` uses [`tango_algebra::DEFAULT_BATCH_ROWS`].
+//! Execution is single-threaded: every operator runs on the thread that
+//! pulls it.
 //!
 //! Inventory:
 //!
@@ -79,7 +76,6 @@ pub mod delta;
 pub mod filter;
 pub mod merge_join;
 pub mod nested_loop;
-pub mod par;
 pub mod project;
 pub mod scan;
 pub mod set_ops;
@@ -90,15 +86,14 @@ pub mod temporal_join;
 
 pub use coalesce::Coalesce;
 pub use cursor::{
-    batch_rows, collect, collect_batched, drain_batches, drain_of, set_batch_rows, BatchBuffered,
-    BoxCursor, Cursor, ExecError, ExecOpts, Result,
+    collect, collect_batched, drain_batches, drain_of, BatchBuffered, BoxCursor, Cursor, ExecError,
+    Result,
 };
 pub use dedup::DupElim;
 pub use delta::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 pub use filter::Filter;
 pub use merge_join::MergeJoin;
 pub use nested_loop::NestedLoopJoin;
-pub use par::{morsel_ranges, run_ordered, ParStats, MORSEL_ROWS};
 pub use project::Project;
 pub use scan::{CachedScan, VecScan};
 pub use set_ops::{ExceptAll, IntersectAll, UnionAll};

@@ -6,34 +6,22 @@
 //! join attributes, which is why the optimizer can sometimes skip a final
 //! sort.
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{drain_buffered, partition_pairs, run_ordered, ParStats};
-use crate::scan::VecScan;
+use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, Result};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{Schema, Tuple};
+use tango_algebra::{Schema, Tuple, DEFAULT_BATCH_ROWS};
 
 /// The `MERGEJOIN^M` cursor: sort-merge equi join over inputs sorted on
 /// the join attributes; output ordered by the left input.
-///
-/// With `workers > 1` both inputs are materialized, the left side is
-/// split at key-group boundaries, each partition joins against its
-/// aligned right range on the worker pool, and the partition outputs are
-/// concatenated in key order — identical to the sequential output.
 pub struct MergeJoin {
     left: BatchBuffered,
     right: BatchBuffered,
-    opts: ExecOpts,
-    eq: Vec<(String, String)>,
     /// Resolved join-attribute indices (left, right).
     keys: Vec<(usize, usize)>,
     schema: Arc<Schema>,
     state: Option<State>,
-    /// Parallel path: the concatenated partition outputs, served as a scan.
-    staged: Option<VecScan>,
     groups: u64,
-    par: Option<ParStats>,
 }
 
 struct State {
@@ -53,15 +41,16 @@ impl MergeJoin {
     /// Join `left` and `right` on the `eq` attribute pairs; both inputs
     /// must be sorted on those attributes.
     pub fn new(left: BoxCursor, right: BoxCursor, eq: &[(String, String)]) -> Result<Self> {
-        Self::with_opts(left, right, eq, ExecOpts::default())
+        Self::with_batch_rows(left, right, eq, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`MergeJoin::new`] with explicit execution knobs.
-    pub fn with_opts(
+    /// Like [`MergeJoin::new`], pulling each input `batch_rows` rows at a
+    /// time.
+    pub fn with_batch_rows(
         left: BoxCursor,
         right: BoxCursor,
         eq: &[(String, String)],
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Result<Self> {
         let mut keys = Vec::with_capacity(eq.len());
         for (l, r) in eq {
@@ -72,77 +61,10 @@ impl MergeJoin {
         }
         let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
         let (left, right) = (
-            BatchBuffered::with_rows(left, opts.batch_rows),
-            BatchBuffered::with_rows(right, opts.batch_rows),
+            BatchBuffered::with_rows(left, batch_rows),
+            BatchBuffered::with_rows(right, batch_rows),
         );
-        Ok(MergeJoin {
-            left,
-            right,
-            opts,
-            eq: eq.to_vec(),
-            keys,
-            schema,
-            state: None,
-            staged: None,
-            groups: 0,
-            par: None,
-        })
-    }
-
-    /// Parallel path: materialize, partition at key boundaries, run a
-    /// sequential sub-join per partition, concatenate in order.
-    fn open_parallel(&mut self) -> Result<()> {
-        let lrows = drain_buffered(&mut self.left)?;
-        let rrows = drain_buffered(&mut self.right)?;
-        let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
-        let keys = self.keys.clone();
-        let same = |a: &Tuple, b: &Tuple| {
-            keys.iter().all(|&(li, _)| a[li].total_cmp(&b[li]) == Ordering::Equal)
-        };
-        let cmp = |l: &Tuple, r: &Tuple| key_cmp(&keys, l, r);
-        let parts = partition_pairs(&lrows, &rrows, self.opts.workers, same, cmp);
-        let mut lit = lrows.into_iter();
-        let mut rit = rrows.into_iter();
-        let mut rpos = 0usize;
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .map(|(llo, lhi, rlo, rhi)| {
-                let lpart: Vec<Tuple> = lit.by_ref().take(lhi - llo).collect();
-                for _ in rpos..rlo {
-                    rit.next();
-                }
-                let rpart: Vec<Tuple> = rit.by_ref().take(rhi - rlo).collect();
-                rpos = rhi;
-                let (ls, rs, eq) = (ls.clone(), rs.clone(), self.eq.clone());
-                move || -> Result<(Vec<Tuple>, u64)> {
-                    let mut j = MergeJoin::new(
-                        Box::new(VecScan::from_parts(ls, lpart)),
-                        Box::new(VecScan::from_parts(rs, rpart)),
-                        &eq,
-                    )?;
-                    j.open()?;
-                    let mut out = Vec::new();
-                    while let Some(t) = j.next()? {
-                        out.push(t);
-                    }
-                    let groups = j.groups;
-                    j.close()?;
-                    Ok((out, groups))
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut rows = Vec::new();
-        for res in results {
-            let (out, g) = res?;
-            self.groups += g;
-            rows.extend(out);
-        }
-        self.par = Some(stats);
-        let mut scan = VecScan::from_parts(self.schema.clone(), rows);
-        scan.open()?;
-        self.staged = Some(scan);
-        Ok(())
+        Ok(MergeJoin { left, right, keys, schema, state: None, groups: 0 })
     }
 }
 
@@ -164,9 +86,6 @@ impl Cursor for MergeJoin {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
         let left_cur = self.left.next()?;
         let right_next = self.right.next()?;
         self.state = Some(State {
@@ -180,9 +99,6 @@ impl Cursor for MergeJoin {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(s) = &mut self.staged {
-            return s.next();
-        }
         // Split borrows up front: the merge state, the two inputs and the
         // key indices are disjoint fields, so the loop below can advance
         // the inputs while holding borrowed tuples out of the state — no
@@ -278,38 +194,14 @@ impl Cursor for MergeJoin {
         }
     }
 
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<tango_algebra::Batch>> {
-        if let Some(s) = &mut self.staged {
-            return s.next_batch_of(max_rows);
-        }
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(tango_algebra::DEFAULT_BATCH_ROWS));
-        while rows.len() < max {
-            match self.next()? {
-                Some(t) => rows.push(t),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(tango_algebra::Batch::new(self.schema.clone(), rows)))
-        }
-    }
-
     fn close(&mut self) -> Result<()> {
         self.state = None;
-        self.staged = None;
         self.left.close()?;
         self.right.close()
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("right_groups", self.groups)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("right_groups", self.groups)]
     }
 }
 
@@ -359,27 +251,6 @@ mod tests {
     }
 
     proptest! {
-        /// Parallel partitioned join equals the sequential merge exactly.
-        #[test]
-        fn parallel_matches_sequential(
-            l in proptest::collection::vec((0i64..8, 0i64..100), 0..50),
-            r in proptest::collection::vec((0i64..8, 0i64..100), 0..50),
-        ) {
-            let mut lr = rel("K", "X", l);
-            let mut rr = rel("K2", "Y", r);
-            lr.sort_by(&SortSpec::by(["K"]));
-            rr.sort_by(&SortSpec::by(["K2"]));
-            let mk = |workers: usize| MergeJoin::with_opts(
-                Box::new(VecScan::new(lr.clone())),
-                Box::new(VecScan::new(rr.clone())),
-                &[("K".to_string(), "K2".to_string())],
-                crate::cursor::ExecOpts { workers, ..Default::default() },
-            ).unwrap();
-            let seq = collect(Box::new(mk(1))).unwrap();
-            let par = collect(Box::new(mk(8))).unwrap();
-            prop_assert!(seq.list_eq(&par));
-        }
-
         #[test]
         fn agrees_with_nested_loop(
             l in proptest::collection::vec((0i64..8, 0i64..100), 0..40),

@@ -10,22 +10,19 @@
 //! one columnar batch at `open` and runs the sweep over flat arrays:
 //! group boundaries come from extracted key columns, period endpoints
 //! from a flat `(start, end)` pair of `i64` vectors, and output rows are
-//! built column-at-a-time. With `workers > 1` the groups are partitioned
-//! into ~morsel-sized chunks (groups never span a chunk) and swept
-//! concurrently; chunk outputs are concatenated in group order, so the
-//! result is byte-identical to the sequential sweep.
+//! built column-at-a-time.
 //!
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
 
-use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{run_ordered, ParStats, MORSEL_ROWS};
+use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
 use tango_algebra::value::Key;
 use tango_algebra::{
     AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Schema, SortSpec, Tuple, Type, Value,
+    DEFAULT_BATCH_ROWS,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -37,7 +34,7 @@ const NO_DAY: i64 = i64::MIN;
 /// sorted on (group attributes, `T1`).
 pub struct TemporalAggregate {
     input: BoxCursor,
-    opts: ExecOpts,
+    batch_rows: usize,
     group_by: Vec<String>,
     group_idx: Vec<usize>,
     agg_arg_idx: Vec<Option<usize>>,
@@ -49,7 +46,7 @@ pub struct TemporalAggregate {
     data: Option<Batch>,
     /// Row ranges of the input's groups, in input order.
     bounds: Vec<(u32, u32)>,
-    /// Next `bounds` entry the lazy sequential path will sweep.
+    /// Next `bounds` entry the lazy sweep will process.
     next_group: usize,
     /// Flat period endpoints per input row ([`NO_DAY`] = empty/null).
     starts_all: Vec<i64>,
@@ -60,22 +57,22 @@ pub struct TemporalAggregate {
     opened: bool,
     groups: u64,
     constant_periods: u64,
-    par: Option<ParStats>,
 }
 
 impl TemporalAggregate {
     /// Aggregate `input` per `group_by` combination over every constant
     /// period; `aggs` define the computed columns.
     pub fn new(input: BoxCursor, group_by: Vec<String>, aggs: Vec<AggSpec>) -> Result<Self> {
-        Self::with_opts(input, group_by, aggs, ExecOpts::default())
+        Self::with_batch_rows(input, group_by, aggs, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`TemporalAggregate::new`] with explicit execution knobs.
-    pub fn with_opts(
+    /// Like [`TemporalAggregate::new`], draining the input `batch_rows`
+    /// rows per pull.
+    pub fn with_batch_rows(
         input: BoxCursor,
         group_by: Vec<String>,
         aggs: Vec<AggSpec>,
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Result<Self> {
         let in_schema = input.schema();
         let period = in_schema
@@ -96,7 +93,7 @@ impl TemporalAggregate {
         let schema = Arc::new(taggr_schema(&group_by, &aggs, in_schema)?);
         Ok(TemporalAggregate {
             input,
-            opts,
+            batch_rows,
             group_by,
             group_idx,
             agg_arg_idx,
@@ -114,75 +111,10 @@ impl TemporalAggregate {
             opened: false,
             groups: 0,
             constant_periods: 0,
-            par: None,
         })
     }
 
-    /// Sweep all groups in parallel morsels and stage the whole output.
-    fn run_parallel(&mut self) -> Result<()> {
-        let data = self.data.as_ref().expect("opened");
-        let total_rows = data.len();
-        let target = MORSEL_ROWS.min(total_rows.div_ceil(self.opts.workers)).max(1);
-        // Chunk whole groups by accumulated input rows so no group spans
-        // two morsels.
-        let mut chunks: Vec<(usize, usize)> = Vec::new();
-        let (mut start, mut acc) = (0usize, 0usize);
-        for (i, &(lo, hi)) in self.bounds.iter().enumerate() {
-            acc += (hi - lo) as usize;
-            if acc >= target {
-                chunks.push((start, i + 1));
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < self.bounds.len() {
-            chunks.push((start, self.bounds.len()));
-        }
-        let ctx = SweepCtx {
-            data,
-            group_idx: &self.group_idx,
-            agg_arg_idx: &self.agg_arg_idx,
-            aggs: &self.aggs,
-            date_typed: self.date_typed,
-            starts_all: &self.starts_all,
-            ends_all: &self.ends_all,
-        };
-        let bounds = &self.bounds;
-        let width = self.schema.len();
-        let ctx_ref = &ctx;
-        let jobs: Vec<_> = chunks
-            .into_iter()
-            .map(|(a, b)| {
-                move || {
-                    let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
-                    let (_, g, cp) = sweep_groups(ctx_ref, &bounds[a..b], &mut cols, usize::MAX);
-                    (cols, g, cp)
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
-        let (mut groups, mut cps) = (0u64, 0u64);
-        for (chunk_cols, g, cp) in results {
-            groups += g;
-            cps += cp;
-            for (dst, src) in cols.iter_mut().zip(chunk_cols) {
-                dst.extend(src);
-            }
-        }
-        self.groups += groups;
-        self.constant_periods += cps;
-        self.par = Some(stats);
-        self.out = Some(Batch::from_columns(
-            self.schema.clone(),
-            cols.into_iter().map(Column::from_values).collect(),
-        ));
-        self.out_pos = 0;
-        self.next_group = self.bounds.len();
-        Ok(())
-    }
-
-    /// Sequential path: sweep groups until at least `min_rows` output rows
+    /// Sweep groups until at least `min_rows` output rows
     /// are staged (or the input is exhausted).
     fn refill(&mut self, min_rows: usize) -> Result<()> {
         let width = self.schema.len();
@@ -226,7 +158,7 @@ impl Cursor for TemporalAggregate {
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
         let in_schema = self.input.schema().clone();
-        let batches = drain_batches(self.input.as_mut(), self.opts.batch_rows)?;
+        let batches = drain_batches(self.input.as_mut(), self.batch_rows)?;
         let data = Batch::concat(in_schema.clone(), batches);
         let n = data.len();
         self.bounds.clear();
@@ -253,9 +185,6 @@ impl Cursor for TemporalAggregate {
         self.out_pos = 0;
         self.data = Some(data);
         self.opened = true;
-        if self.opts.workers > 1 && !self.bounds.is_empty() {
-            self.run_parallel()?;
-        }
         Ok(())
     }
 
@@ -316,11 +245,7 @@ impl Cursor for TemporalAggregate {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("groups", self.groups), ("constant_periods", self.constant_periods)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("groups", self.groups), ("constant_periods", self.constant_periods)]
     }
 }
 
@@ -730,40 +655,6 @@ mod tests {
         Relation::new(s, vals.iter().map(|&(g, a, b)| tup![g, a, b]).collect())
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut x = 11u64;
-        let vals: Vec<(i64, i32, i32)> = (0..4000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let g = ((x >> 33) % 64) as i64;
-                let t1 = ((x >> 11) % 50) as i32;
-                (g, t1, t1 + 1 + ((x >> 5) % 20) as i32)
-            })
-            .collect();
-        let mut rel = input_rel(&vals);
-        rel.sort_by(&SortSpec::by(["G", "T1"]));
-        let mk = |workers: usize| {
-            let opts = ExecOpts { workers, ..ExecOpts::default() };
-            TemporalAggregate::with_opts(
-                Box::new(VecScan::new(rel.clone())),
-                vec!["G".into()],
-                vec![
-                    AggSpec::count_star("C"),
-                    AggSpec::new(AggFunc::Sum, Some("T2"), "S"),
-                    AggSpec::new(AggFunc::Min, Some("T1"), "M"),
-                ],
-                opts,
-            )
-            .unwrap()
-        };
-        let seq = collect(Box::new(mk(1))).unwrap();
-        for workers in [2, 8] {
-            let par = collect(Box::new(mk(workers))).unwrap();
-            assert!(seq.list_eq(&par), "parallel TAGGR diverged at workers={workers}");
-        }
-    }
-
     proptest! {
         /// Invariant: at every time point, the COUNT reported by the
         /// constant-period output equals the number of input tuples of
@@ -815,24 +706,6 @@ mod tests {
             // cardinality bounds from Section 3.4
             let n = fixed.len();
             prop_assert!(got.len() < 2 * n);
-        }
-
-        /// Parallel sweep equals sequential on arbitrary inputs (including
-        /// empty periods and many tiny groups).
-        #[test]
-        fn parallel_matches_sequential_prop(vals in proptest::collection::vec((0i64..6, 0i32..30, 0i32..12), 0..80)) {
-            let fixed: Vec<(i64, i32, i32)> = vals.into_iter().map(|(g, t1, d)| (g, t1, t1 + d)).collect();
-            let mut rel = input_rel(&fixed);
-            rel.sort_by(&SortSpec::by(["G", "T1"]));
-            let mk = |workers: usize| TemporalAggregate::with_opts(
-                Box::new(VecScan::new(rel.clone())),
-                vec!["G".into()],
-                vec![AggSpec::count_star("C")],
-                ExecOpts { workers, ..ExecOpts::default() },
-            ).unwrap();
-            let seq = collect(Box::new(mk(1))).unwrap();
-            let par = collect(Box::new(mk(8))).unwrap();
-            prop_assert!(seq.list_eq(&par));
         }
     }
 }

@@ -9,29 +9,18 @@
 //! them, so a query that sorts its result on the join key needs no extra
 //! sort after this algorithm (exploited by Queries 2 and 3 in the paper).
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{drain_buffered, partition_pairs, run_ordered, ParStats};
-use crate::scan::VecScan;
+use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, Result};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use tango_algebra::logical::tjoin_schema;
-use tango_algebra::{Batch, Period, Schema, Tuple, Value};
+use tango_algebra::{Period, Schema, Tuple, Value, DEFAULT_BATCH_ROWS};
 
 /// The `TMERGEJOIN^M` cursor: sort-merge temporal equi join — matches on
 /// the join attributes *and* overlapping periods, emitting the
 /// intersected period. Inputs sorted on the join attributes.
-///
-/// With `workers > 1` the join materializes both inputs, splits the left
-/// side into ~morsel-sized partitions at key-group boundaries, aligns the
-/// matching right ranges (both sides are key-sorted, so partitions cover
-/// disjoint key ranges), and runs an independent sequential sub-join per
-/// partition; outputs are concatenated in partition order, which equals
-/// the sequential output exactly.
 pub struct TemporalMergeJoin {
     left: BatchBuffered,
     right: BatchBuffered,
-    opts: ExecOpts,
-    eq: Vec<(String, String)>,
     lkeys: Vec<usize>,
     rkeys: Vec<usize>,
     /// Left attribute indices copied to the output (non-period).
@@ -43,10 +32,7 @@ pub struct TemporalMergeJoin {
     date_typed: bool,
     schema: Arc<Schema>,
     state: Option<State>,
-    /// Parallel path: the concatenated partition outputs, served as a scan.
-    staged: Option<VecScan>,
     groups: u64,
-    par: Option<ParStats>,
 }
 
 struct State {
@@ -65,15 +51,16 @@ struct State {
 impl TemporalMergeJoin {
     /// Temporal join of `left` and `right` on the `eq` attribute pairs.
     pub fn new(left: BoxCursor, right: BoxCursor, eq: &[(String, String)]) -> Result<Self> {
-        Self::with_opts(left, right, eq, ExecOpts::default())
+        Self::with_batch_rows(left, right, eq, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`TemporalMergeJoin::new`] with explicit execution knobs.
-    pub fn with_opts(
+    /// Like [`TemporalMergeJoin::new`], pulling each input `batch_rows`
+    /// rows at a time.
+    pub fn with_batch_rows(
         left: BoxCursor,
         right: BoxCursor,
         eq: &[(String, String)],
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Result<Self> {
         let ls = left.schema();
         let rs = right.schema();
@@ -97,19 +84,16 @@ impl TemporalMergeJoin {
         let rkeep: Vec<usize> = (0..rs.len())
             .filter(|&i| i != rperiod.0 && i != rperiod.1 && !rkeys.contains(&i))
             .collect();
-        let eq_owned: Vec<(String, String)> = eq.to_vec();
-        let schema = Arc::new(tjoin_schema(&eq_owned, ls, rs)?);
+        let schema = Arc::new(tjoin_schema(eq, ls, rs)?);
         let date_typed =
             matches!(schema.attr(schema.period().unwrap().0).ty, tango_algebra::Type::Date);
         let (left, right) = (
-            BatchBuffered::with_rows(left, opts.batch_rows),
-            BatchBuffered::with_rows(right, opts.batch_rows),
+            BatchBuffered::with_rows(left, batch_rows),
+            BatchBuffered::with_rows(right, batch_rows),
         );
         Ok(TemporalMergeJoin {
             left,
             right,
-            opts,
-            eq: eq_owned,
             lkeys,
             rkeys,
             lkeep,
@@ -119,65 +103,8 @@ impl TemporalMergeJoin {
             date_typed,
             schema,
             state: None,
-            staged: None,
             groups: 0,
-            par: None,
         })
-    }
-
-    /// Parallel path: materialize, partition at key boundaries, run a
-    /// sequential sub-join per partition, concatenate in order.
-    fn open_parallel(&mut self) -> Result<()> {
-        let lrows = drain_buffered(&mut self.left)?;
-        let rrows = drain_buffered(&mut self.right)?;
-        let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
-        let (lkeys, rkeys) = (self.lkeys.clone(), self.rkeys.clone());
-        let same =
-            |a: &Tuple, b: &Tuple| lkeys.iter().all(|&k| a[k].total_cmp(&b[k]) == Ordering::Equal);
-        let cmp = |l: &Tuple, r: &Tuple| key_cmp(&lkeys, &rkeys, l, r);
-        let parts = partition_pairs(&lrows, &rrows, self.opts.workers, same, cmp);
-        let mut lit = lrows.into_iter();
-        let mut rit = rrows.into_iter();
-        let mut rpos = 0usize;
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .map(|(llo, lhi, rlo, rhi)| {
-                let lpart: Vec<Tuple> = lit.by_ref().take(lhi - llo).collect();
-                for _ in rpos..rlo {
-                    rit.next();
-                }
-                let rpart: Vec<Tuple> = rit.by_ref().take(rhi - rlo).collect();
-                rpos = rhi;
-                let (ls, rs, eq) = (ls.clone(), rs.clone(), self.eq.clone());
-                move || -> Result<(Vec<Tuple>, u64)> {
-                    let mut j = TemporalMergeJoin::new(
-                        Box::new(VecScan::from_parts(ls, lpart)),
-                        Box::new(VecScan::from_parts(rs, rpart)),
-                        &eq,
-                    )?;
-                    j.open()?;
-                    let mut out = Vec::new();
-                    while let Some(t) = j.next()? {
-                        out.push(t);
-                    }
-                    let groups = j.groups;
-                    j.close()?;
-                    Ok((out, groups))
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut rows = Vec::new();
-        for res in results {
-            let (out, g) = res?;
-            self.groups += g;
-            rows.extend(out);
-        }
-        self.par = Some(stats);
-        let mut scan = VecScan::from_parts(self.schema.clone(), rows);
-        scan.open()?;
-        self.staged = Some(scan);
-        Ok(())
     }
 
     /// Read all consecutive tuples sharing the key of `first` from `input`.
@@ -247,9 +174,6 @@ impl Cursor for TemporalMergeJoin {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
         let lnext = self.left.next()?;
         let rnext = self.right.next()?;
         self.state = Some(State {
@@ -266,9 +190,6 @@ impl Cursor for TemporalMergeJoin {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(s) = &mut self.staged {
-            return s.next();
-        }
         // Split borrows up front (same pattern as `MergeJoin::next`): the
         // state, the two inputs and the resolved indices are disjoint
         // fields, so the loop can advance the inputs while reading the
@@ -342,38 +263,14 @@ impl Cursor for TemporalMergeJoin {
         }
     }
 
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if let Some(s) = &mut self.staged {
-            return s.next_batch_of(max_rows);
-        }
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(tango_algebra::DEFAULT_BATCH_ROWS));
-        while rows.len() < max {
-            match self.next()? {
-                Some(t) => rows.push(t),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(Batch::new(self.schema.clone(), rows)))
-        }
-    }
-
     fn close(&mut self) -> Result<()> {
         self.state = None;
-        self.staged = None;
         self.left.close()?;
         self.right.close()
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("key_groups", self.groups)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("key_groups", self.groups)]
     }
 }
 
@@ -381,6 +278,7 @@ impl Cursor for TemporalMergeJoin {
 mod tests {
     use super::*;
     use crate::cursor::collect;
+    use crate::scan::VecScan;
     use crate::taggr::TemporalAggregate;
     use crate::testutil::figure3_position;
     use proptest::prelude::*;
@@ -468,32 +366,6 @@ mod tests {
             let schema = got.schema().clone();
             let expected_rel = Relation::new(schema, expect);
             prop_assert!(got.multiset_eq(&expected_rel));
-        }
-
-        /// Parallel partitioned join equals the sequential merge exactly
-        /// (same rows, same order).
-        #[test]
-        fn parallel_matches_sequential(
-            l in proptest::collection::vec((0i64..5, 0i64..100, 0i32..20, 1i32..10), 0..40),
-            r in proptest::collection::vec((0i64..5, 0i64..100, 0i32..20, 1i32..10), 0..40),
-        ) {
-            let fix = |v: Vec<(i64, i64, i32, i32)>| -> Vec<(i64, i64, i32, i32)> {
-                v.into_iter().map(|(k, x, t1, d)| (k, x, t1, t1 + d)).collect()
-            };
-            let (l, r) = (fix(l), fix(r));
-            let mut lr = temporal_rel(&l);
-            let mut rr = temporal_rel(&r);
-            lr.sort_by(&SortSpec::by(["K"]));
-            rr.sort_by(&SortSpec::by(["K"]));
-            let mk = |workers: usize| TemporalMergeJoin::with_opts(
-                Box::new(VecScan::new(lr.clone())),
-                Box::new(VecScan::new(rr.clone())),
-                &[("K".to_string(), "K".to_string())],
-                crate::cursor::ExecOpts { workers, ..Default::default() },
-            ).unwrap();
-            let seq = collect(Box::new(mk(1))).unwrap();
-            let par = collect(Box::new(mk(8))).unwrap();
-            prop_assert!(seq.list_eq(&par));
         }
 
         #[test]

@@ -21,7 +21,6 @@
 //! * `\explain <sql>`   — the DBMS's own EXPLAIN for conventional SQL
 //! * `\calibrate`       — run cost-factor calibration
 //! * `\factors`         — show the current cost factors
-//! * `\workers [n]`     — show/set the morsel worker pool (0 = auto)
 //! * `\batch [n]`       — show/set this session's batch size
 //! * `\rewrites [p,..]` — show/set the rewrite rule packs applied
 //!   between parse and optimize (`\rewrites none` clears; see
@@ -130,31 +129,14 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
                 f.p_taggm1, f.p_taggm2, f.p_taggd1, f.p_taggd2, f.p_mjm, f.p_jd
             );
         }
-        "\\workers" => {
-            let rest = rest.trim().trim_end_matches(';');
-            if rest.is_empty() {
-                println!("workers = {} (0 = auto)", tango.options().workers);
-            } else {
-                match rest.parse::<usize>() {
-                    Ok(n) => {
-                        tango.options_mut().workers = n;
-                        println!("workers = {n}");
-                    }
-                    Err(_) => println!("usage: \\workers <n>  (0 = auto, 1 = sequential)"),
-                }
-            }
-        }
         "\\batch" => {
             let rest = rest.trim().trim_end_matches(';');
             if rest.is_empty() {
-                match tango.options().batch_rows {
-                    Some(n) => println!("batch_rows = {n}"),
-                    None => println!("batch_rows = default ({})", tango::xxl::batch_rows()),
-                }
+                println!("batch_rows = {}", tango.options().batch_rows);
             } else {
                 match rest.parse::<usize>() {
                     Ok(n) => {
-                        tango.options_mut().batch_rows = Some(n.max(1));
+                        tango.options_mut().batch_rows = n.max(1);
                         println!("batch_rows = {}", n.max(1));
                     }
                     Err(_) => println!("usage: \\batch <rows>  (1 = row-at-a-time)"),
@@ -227,7 +209,7 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
             }
             Err(e) => println!("error: {e}"),
         },
-        other => println!("unknown meta command {other} (try \\quit, \\plan, \\explain, \\calibrate, \\factors, \\workers, \\batch, \\rewrites, \\cache, \\tables)"),
+        other => println!("unknown meta command {other} (try \\quit, \\plan, \\explain, \\calibrate, \\factors, \\batch, \\rewrites, \\cache, \\tables)"),
     }
     false
 }

@@ -5,7 +5,7 @@
 use tango::algebra::{tup, Attr, Schema, Type, Value};
 use tango::core::phys::Algo;
 use tango::minidb::{Connection, Database, Link, LinkProfile, WireMode};
-use tango::Tango;
+use tango::{Tango, TangoOptions};
 
 fn populated_db(profile: LinkProfile, rows: usize) -> Database {
     let db = Database::new(Link::new(profile));
@@ -176,5 +176,41 @@ fn execution_report_accounts_steps() {
     for s in &report.exec.steps {
         assert!(s.exclusive_us >= 0.0);
         assert!(s.exclusive_us <= s.inclusive_us + 1.0);
+    }
+}
+
+/// A session that first collects statistics after a write without a new
+/// ANALYZE must still plan over the written table (with the statistics of
+/// the last ANALYZE), and answer exactly what a session planning over
+/// fresh statistics answers — for every kind of DML.
+#[test]
+fn fresh_session_plans_after_unanalyzed_dml() {
+    let queries = [
+        "SELECT PosID FROM POSITION WHERE PosID < 5 ORDER BY PosID",
+        "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION \
+         GROUP BY PosID ORDER BY PosID",
+    ];
+    for dml in [
+        "INSERT INTO POSITION VALUES (1, 'inserted', 10, 90)",
+        "DELETE FROM POSITION WHERE PosID = 2",
+        "UPDATE POSITION SET T2 = T2 + 5 WHERE PosID = 3",
+    ] {
+        let db = populated_db(LinkProfile::instant(), 300);
+        let conn = Connection::new(db.clone());
+        conn.execute(dml).unwrap();
+        let mut fresh = Tango::connect(db.clone());
+        let got: Vec<_> = queries
+            .iter()
+            .map(|q| fresh.query(q).unwrap_or_else(|e| panic!("after `{dml}`: {e}\n{q}")).0)
+            .collect();
+
+        conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
+        let options = TangoOptions { cache_budget: None, ..TangoOptions::default() };
+        let mut reference = Tango::connect_with(db, options);
+        for (q, got) in queries.iter().zip(got) {
+            let (expected, _) = reference.query(q).unwrap();
+            assert!(got.multiset_eq(&expected), "after `{dml}`: {q}\ngot:\n{got}");
+            assert!(got.is_sorted_by(&tango::algebra::SortSpec::by(["PosID"])), "{q}");
+        }
     }
 }

@@ -166,9 +166,11 @@ mod placements {
     use super::make_db;
     use std::sync::Arc;
     use tango::algebra::{AggFunc, AggSpec, Expr, ProjItem, Relation, SortSpec};
-    use tango::core::engine;
+    use tango::core::collector;
+    use tango::core::engine::{self, ExecOptions, Replan};
+    use tango::core::opt::OptOptions;
     use tango::core::phys::{Algo, PhysNode};
-    use tango::minidb::{Connection, Database};
+    use tango::minidb::{Connection, Database, ErrorClass, Fault, FaultPlan};
 
     struct PlanBuilder {
         conn: Connection,
@@ -300,7 +302,9 @@ mod placements {
     }
 
     fn run(conn: &Connection, plan: &PhysNode) -> Relation {
-        engine::execute(conn, plan).unwrap_or_else(|e| panic!("{e}\nplan:\n{plan:?}")).0
+        engine::execute(conn, plan, &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{e}\nplan:\n{plan:?}"))
+            .rel
     }
 
     fn assert_placements_agree(db: &Database, plans: Vec<(&'static str, PhysNode)>, query: &str) {
@@ -346,6 +350,54 @@ mod placements {
         let db = dataset();
         let b = PlanBuilder { conn: Connection::new(db.clone()) };
         assert_placements_agree(&db, q3_plans(&b), "Q3");
+    }
+
+    fn temp_tables(db: &Database) -> Vec<String> {
+        db.table_names().into_iter().filter(|t| t.starts_with("TANGO_TMP")).collect()
+    }
+
+    /// The Figure 9 mixed plan loads the middleware aggregate back into
+    /// the DBMS with `TRANSFER^D`. Its temp table must be dropped after a
+    /// clean run and after a fatal wire fault, with and without a re-plan
+    /// section.
+    #[test]
+    fn transfer_d_temp_tables_dropped_in_both_modes() {
+        let db = dataset();
+        let conn = Connection::new(db.clone());
+        let b = PlanBuilder { conn: conn.clone() };
+        let (_, mixed) = q2_plans(&b).remove(0);
+        let replan = Replan {
+            catalog: Arc::new(collector::collect(&conn, true).unwrap()),
+            opt: OptOptions::default(),
+            residency: Arc::default(),
+            ratio: 8.0,
+            histogram_buckets: 0,
+        };
+        for replan in [None, Some(replan)] {
+            let mode = if replan.is_some() { "re-plan" } else { "plain" };
+            let opts = ExecOptions { replan, ..ExecOptions::default() };
+            let before = db.link().roundtrips();
+            let clean = engine::execute(&conn, &mixed, &opts).unwrap();
+            assert!(clean.report.exec_step(&Algo::TransferD).is_some(), "{mode}: no TRANSFER^D");
+            assert!(temp_tables(&db).is_empty(), "{mode}: clean run leaked {:?}", temp_tables(&db));
+
+            // fail the last round trip of the same run: the root fetch,
+            // which comes after the temp table was loaded
+            let after = db.link().roundtrips();
+            let last = after + (after - before);
+            db.link().set_injector(Arc::new(FaultPlan::scripted([(
+                last,
+                Fault::Fatal("ORA-00600: internal error".into()),
+            )])));
+            let err = engine::execute(&conn, &mixed, &opts).map(|_| ()).unwrap_err();
+            db.link().clear_injector();
+            assert_eq!(err.wire_class(), Some(ErrorClass::Fatal), "{mode}: {err}");
+            assert!(
+                temp_tables(&db).is_empty(),
+                "{mode}: failed run leaked {:?}",
+                temp_tables(&db)
+            );
+        }
     }
 }
 

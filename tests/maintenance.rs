@@ -426,13 +426,13 @@ proptest! {
         let db = make_db(LinkProfile::instant(), &fixed);
 
         let mut refreshing = Tango::connect_private(db.clone());
-        refreshing.options_mut().batch_rows = Some(batch);
+        refreshing.options_mut().batch_rows = batch;
         let mut dropping = Tango::connect_private(db.clone());
         dropping.options_mut().cache_refresh = false;
-        dropping.options_mut().batch_rows = Some(batch);
+        dropping.options_mut().batch_rows = batch;
         let mut uncached = Tango::connect_private(db.clone());
         uncached.options_mut().cache_budget = None;
-        uncached.options_mut().batch_rows = Some(batch);
+        uncached.options_mut().batch_rows = batch;
 
         let conn = Connection::new(db.clone());
         let plans = [

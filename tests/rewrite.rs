@@ -48,7 +48,7 @@ fn make_db(rows: &[(i64, i64, f64, i32, i32)]) -> Database {
 fn run(db: &Database, packs: &[&str], batch: usize, sql: &str) -> Relation {
     let mut tango = Tango::connect(db.clone());
     tango.options_mut().rewrite_packs = packs.iter().map(|p| p.to_string()).collect();
-    tango.options_mut().batch_rows = Some(batch);
+    tango.options_mut().batch_rows = batch;
     tango.query(sql).unwrap_or_else(|e| panic!("{e}\npacks: {packs:?}\nsql: {sql}")).0
 }
 

@@ -2,14 +2,11 @@
 //! batches ([`Cursor::next_batch`]) must agree **byte for byte** with
 //! pulling single rows ([`Cursor::next`]) — for every XXL operator on
 //! randomized inputs, for full middleware plans end to end, and under
-//! seeded chaos schedules on the simulated wire.
-//!
-//! All tests here mutate the process-wide batch-size knob, so they
-//! serialize on one mutex and always restore the default before
-//! releasing it.
+//! seeded chaos schedules on the simulated wire. Batch sizes are set per
+//! operator and per session, so the tests run in parallel.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, Expr, ProjItem, Relation, Schema, SortSpec, Type, Value,
@@ -17,43 +14,45 @@ use tango::algebra::{
 };
 use tango::minidb::{Database, FaultPlan, Link, LinkProfile, WireMode};
 use tango::xxl::{
-    collect, collect_batched, set_batch_rows, BoxCursor, Coalesce, DupElim, ExecOpts, ExternalSort,
-    Filter, MergeJoin, Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
+    collect, collect_batched, BoxCursor, Coalesce, DupElim, ExternalSort, Filter, MergeJoin,
+    Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
 };
 use tango::Tango;
-
-/// Serializes access to the process-wide batch-size knob.
-static KNOB: Mutex<()> = Mutex::new(());
 
 /// Batch sizes every differential sweeps: the row-at-a-time degenerate
 /// case, sizes that straddle group/prefetch boundaries, and the default.
 const SIZES: [usize; 5] = [1, 2, 3, 7, DEFAULT_BATCH_ROWS];
 
-fn with_knob<R>(f: impl FnOnce() -> R) -> R {
-    let _g = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let r = f();
-    set_batch_rows(DEFAULT_BATCH_ROWS);
-    r
+/// Wire-codec encoding of a whole relation: the strictest equality there
+/// is — any drift in value *variants* (Int vs Date), float bits or null
+/// placement changes the bytes even when `total_cmp` would not notice.
+fn encode_rel(rel: &Relation) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for t in rel.tuples() {
+        tango::algebra::codec::encode_tuple(t, &mut buf);
+    }
+    buf
 }
 
-/// Row vs batch on the same cursor constructor, across all of [`SIZES`].
-fn assert_differential(label: &str, make: &dyn Fn() -> BoxCursor) {
-    with_knob(|| {
-        let row = collect(make()).unwrap(); // pure `next()` pulls
-        for bs in SIZES {
-            set_batch_rows(bs);
-            let batched = collect_batched(make()).unwrap();
-            assert!(
-                batched.list_eq(&row),
-                "{label}: batch size {bs} differs from row-at-a-time\nrow:\n{row}\nbatch:\n{batched}"
-            );
-            assert_eq!(
-                batched.schema().names().collect::<Vec<_>>(),
-                row.schema().names().collect::<Vec<_>>(),
-                "{label}: schema drifted at batch size {bs}"
-            );
-        }
-    })
+/// Row vs batch across all of [`SIZES`]: `make(bs)` builds the cursor
+/// with batch size `bs` wherever an operator takes one, and the batched
+/// run pulls it `bs` rows at a time.
+fn assert_differential(label: &str, make: &dyn Fn(usize) -> BoxCursor) {
+    let row = collect(make(DEFAULT_BATCH_ROWS)).unwrap(); // pure `next()` pulls
+    let row_bytes = encode_rel(&row);
+    for bs in SIZES {
+        let batched = collect_batched(make(bs), bs).unwrap();
+        assert!(
+            batched.list_eq(&row),
+            "{label}: batch size {bs} differs from row-at-a-time\nrow:\n{row}\nbatch:\n{batched}"
+        );
+        assert_eq!(encode_rel(&batched), row_bytes, "{label}: batch size {bs} drifted in bytes");
+        assert_eq!(
+            batched.schema().names().collect::<Vec<_>>(),
+            row.schema().names().collect::<Vec<_>>(),
+            "{label}: schema drifted at batch size {bs}"
+        );
+    }
 }
 
 type Row = (i64, i64, i32, i32); // (PosID, EmpID, T1, duration)
@@ -89,10 +88,10 @@ proptest! {
         raw in proptest::collection::vec((0i64..5, 0i64..4, 0i32..30, 1i32..10), 0..40),
     ) {
         let rel = temporal_rel(&raw);
-        assert_differential("FILTER^M", &|| {
+        assert_differential("FILTER^M", &|_| {
             Box::new(Filter::new(scan(&rel), Expr::eq(Expr::col("PosID"), Expr::lit(1))))
         });
-        assert_differential("PROJECT^M", &|| {
+        assert_differential("PROJECT^M", &|_| {
             Box::new(
                 Project::new(
                     scan(&rel),
@@ -101,15 +100,15 @@ proptest! {
                 .unwrap(),
             )
         });
-        assert_differential("SORT^M", &|| {
-            Box::new(Sort::new(scan(&rel), SortSpec::by(["PosID", "T1"])))
+        assert_differential("SORT^M", &|bs| {
+            Box::new(Sort::with_batch_rows(scan(&rel), SortSpec::by(["PosID", "T1"]), bs))
         });
         for run in [2usize, 7] {
-            assert_differential("XSORT^M", &|| {
+            assert_differential("XSORT^M", &|_| {
                 Box::new(ExternalSort::new(scan(&rel), SortSpec::by(["PosID", "T1"]), run))
             });
         }
-        assert_differential("DUPELIM^M", &|| Box::new(DupElim::new(scan(&rel))));
+        assert_differential("DUPELIM^M", &|_| Box::new(DupElim::new(scan(&rel))));
     }
 
     /// The stream-merging operators, whose batch path goes through the
@@ -123,18 +122,22 @@ proptest! {
         let l = sorted_by(&temporal_rel(&left), &["PosID", "T1"]);
         let r = sorted_by(&temporal_rel(&right), &["PosID", "T1"]);
         let eq = [("PosID".to_string(), "PosID".to_string())];
-        assert_differential("MERGEJOIN^M", &|| {
-            Box::new(MergeJoin::new(scan(&l), scan(&r), &eq).unwrap())
+        assert_differential("MERGEJOIN^M", &|bs| {
+            Box::new(MergeJoin::with_batch_rows(scan(&l), scan(&r), &eq, bs).unwrap())
         });
-        assert_differential("TMERGEJOIN^M", &|| {
-            Box::new(TemporalMergeJoin::new(scan(&l), scan(&r), &eq).unwrap())
+        assert_differential("TMERGEJOIN^M", &|bs| {
+            Box::new(TemporalMergeJoin::with_batch_rows(scan(&l), scan(&r), &eq, bs).unwrap())
         });
-        assert_differential("TAGGR^M", &|| {
+        assert_differential("TAGGR^M", &|bs| {
             Box::new(
-                TemporalAggregate::new(
+                TemporalAggregate::with_batch_rows(
                     scan(&l),
                     vec!["PosID".into()],
-                    vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")],
+                    vec![
+                        AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt"),
+                        AggSpec::new(AggFunc::Sum, Some("EmpID"), "S"),
+                    ],
+                    bs,
                 )
                 .unwrap(),
             )
@@ -143,158 +146,12 @@ proptest! {
         // attributes then T1
         let lv = sorted_by(&l, &["PosID", "EmpID", "T1"]);
         let rv = sorted_by(&r, &["PosID", "EmpID", "T1"]);
-        assert_differential("COALESCE^M", &|| Box::new(Coalesce::new(scan(&lv)).unwrap()));
-        assert_differential("TDIFF^M", &|| {
+        assert_differential("COALESCE^M", &|bs| {
+            Box::new(Coalesce::with_batch_rows(scan(&lv), bs).unwrap())
+        });
+        assert_differential("TDIFF^M", &|_| {
             Box::new(TemporalDiff::new(scan(&lv), scan(&rv)).unwrap())
         });
-    }
-}
-
-// -------------------------------------------------------------- parallel
-
-/// Wire-codec encoding of a whole relation: the strictest equality there
-/// is — any drift in value *variants* (Int vs Date), float bits or null
-/// placement changes the bytes even when `total_cmp` would not notice.
-fn encode_rel(rel: &Relation) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for t in rel.tuples() {
-        tango::algebra::codec::encode_tuple(t, &mut buf);
-    }
-    buf
-}
-
-/// Morsel-parallel differential: the cursor built with any
-/// (workers × batch_rows) combination must be byte-identical (through
-/// the wire codec) to the sequential default.
-fn assert_parallel_differential(label: &str, make: &dyn Fn(ExecOpts) -> BoxCursor) {
-    let base = collect(make(ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 1 })).unwrap();
-    let base_bytes = encode_rel(&base);
-    for workers in [1usize, 2, 8] {
-        for batch_rows in [1usize, 1024] {
-            let opts = ExecOpts { batch_rows, workers };
-            let got = collect(make(opts)).unwrap();
-            assert!(
-                got.list_eq(&base),
-                "{label}: workers={workers} batch={batch_rows} changed the result\n\
-                 base:\n{base}\ngot:\n{got}"
-            );
-            assert_eq!(
-                encode_rel(&got),
-                base_bytes,
-                "{label}: workers={workers} batch={batch_rows} drifted at the byte level"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// Every morsel-parallel operator, workers 1/2/8 × batch 1/1024:
-    /// byte-identical to the sequential run.
-    #[test]
-    fn parallel_operators_agree(
-        left in proptest::collection::vec((0i64..5, 0i64..4, 0i32..25, 1i32..10), 0..40),
-        right in proptest::collection::vec((0i64..5, 0i64..4, 0i32..25, 1i32..10), 0..40),
-    ) {
-        let l = sorted_by(&temporal_rel(&left), &["PosID", "T1"]);
-        let r = sorted_by(&temporal_rel(&right), &["PosID", "T1"]);
-        let eq = [("PosID".to_string(), "PosID".to_string())];
-        assert_parallel_differential("SORT^M", &|o| {
-            Box::new(Sort::with_opts(scan(&l), SortSpec::by(["EmpID", "T1"]), o))
-        });
-        assert_parallel_differential("XSORT^M", &|o| {
-            Box::new(ExternalSort::with_opts(scan(&l), SortSpec::by(["EmpID", "T1"]), 7, o))
-        });
-        assert_parallel_differential("MERGEJOIN^M", &|o| {
-            Box::new(MergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
-        });
-        assert_parallel_differential("TMERGEJOIN^M", &|o| {
-            Box::new(TemporalMergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
-        });
-        assert_parallel_differential("TAGGR^M", &|o| {
-            Box::new(
-                TemporalAggregate::with_opts(
-                    scan(&l),
-                    vec!["PosID".into()],
-                    vec![
-                        AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt"),
-                        AggSpec::new(AggFunc::Sum, Some("EmpID"), "S"),
-                    ],
-                    o,
-                )
-                .unwrap(),
-            )
-        });
-        let lv = sorted_by(&l, &["PosID", "EmpID", "T1"]);
-        assert_parallel_differential("COALESCE^M", &|o| {
-            Box::new(Coalesce::with_opts(scan(&lv), o).unwrap())
-        });
-    }
-}
-
-/// Dynamic morsel claiming must not leak into results: repeated parallel
-/// runs of the same cursor are byte-identical.
-#[test]
-fn parallel_runs_are_deterministic() {
-    let mut x = 7u64;
-    let raw: Vec<Row> = (0..3000)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (
-                ((x >> 33) % 64) as i64,
-                ((x >> 21) % 16) as i64,
-                ((x >> 11) % 50) as i32,
-                1 + ((x >> 5) % 20) as i32,
-            )
-        })
-        .collect();
-    let rel = sorted_by(&temporal_rel(&raw), &["PosID", "T1"]);
-    let opts = ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 8 };
-    let make = || -> BoxCursor {
-        Box::new(
-            TemporalAggregate::with_opts(
-                Box::new(Sort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), opts)),
-                vec!["PosID".into()],
-                vec![
-                    AggSpec::new(AggFunc::Count, None, "Cnt"),
-                    AggSpec::new(AggFunc::Avg, Some("EmpID"), "A"),
-                ],
-                opts,
-            )
-            .unwrap(),
-        )
-    };
-    let first = encode_rel(&collect(make()).unwrap());
-    for run in 1..4 {
-        let again = encode_rel(&collect(make()).unwrap());
-        assert_eq!(first, again, "parallel run {run} was not byte-identical");
-    }
-}
-
-/// The per-session knobs (`TangoOptions::workers` / `batch_rows`) end to
-/// end: parallel sessions answer every figure query byte-identically to
-/// the sequential baseline, with exact row accounting.
-#[test]
-fn parallel_sessions_agree_with_sequential() {
-    let db = seed_db();
-    let mut tango = Tango::connect(db);
-    let baselines: Vec<Vec<u8>> =
-        queries().iter().map(|q| encode_rel(&tango.query(q).unwrap().0)).collect();
-    for workers in [2usize, 8] {
-        for batch_rows in [Some(1usize), Some(1024), None] {
-            tango.options_mut().workers = workers;
-            tango.options_mut().batch_rows = batch_rows;
-            for (q, base) in queries().iter().zip(&baselines) {
-                let (rel, report) = tango.query(q).unwrap();
-                assert_eq!(
-                    &encode_rel(&rel),
-                    base,
-                    "workers={workers} batch_rows={batch_rows:?} changed the answer\nquery: {q}"
-                );
-                assert_eq!(report.exec.rows, rel.len(), "row accounting, query {q}");
-            }
-        }
     }
 }
 
@@ -376,28 +233,28 @@ fn queries() -> Vec<String> {
 }
 
 /// Full middleware plans (optimizer → transfer wire → XXL stack → trace)
-/// must deliver identical bytes at every batch size, including sizes
-/// that do not divide the wire prefetch.
+/// must deliver identical bytes at every session batch size
+/// (`TangoOptions::batch_rows`), including sizes that do not divide the
+/// wire prefetch.
 #[test]
 fn middleware_plans_agree_row_vs_batch() {
     let db = seed_db();
     let mut tango = Tango::connect(db);
-    with_knob(|| {
-        for q in queries() {
-            set_batch_rows(1);
-            let (row, _) = tango.query(&q).unwrap();
-            for bs in [2usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
-                set_batch_rows(bs);
-                let (batch, report) = tango.query(&q).unwrap();
-                assert!(
-                    batch.list_eq(&row),
-                    "batch size {bs} changed the answer\nquery: {q}\nrow:\n{row}\nbatch:\n{batch}"
-                );
-                // row accounting stays exact regardless of batch size
-                assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
-            }
+    for q in queries() {
+        tango.options_mut().batch_rows = 1;
+        let (row, _) = tango.query(&q).unwrap();
+        for bs in [2usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
+            tango.options_mut().batch_rows = bs;
+            let (batch, report) = tango.query(&q).unwrap();
+            assert!(
+                batch.list_eq(&row),
+                "batch size {bs} changed the answer\nquery: {q}\nrow:\n{row}\nbatch:\n{batch}"
+            );
+            assert_eq!(encode_rel(&batch), encode_rel(&row), "batch size {bs} drifted, query {q}");
+            // row accounting stays exact regardless of batch size
+            assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
         }
-    })
+    }
 }
 
 /// The external-sort plan (middleware sort-memory budget) under the
@@ -414,15 +271,13 @@ fn external_sort_plan_agrees_row_vs_batch() {
              GROUP BY PosID ORDER BY PosID";
     let optimized = tango.optimize(q).unwrap();
     assert!(optimized.explain().contains("XSORT^M"), "{}", optimized.explain());
-    with_knob(|| {
-        set_batch_rows(1);
-        let (row, _) = tango.execute_physical(&optimized.plan).unwrap();
-        for bs in [3usize, 8, DEFAULT_BATCH_ROWS] {
-            set_batch_rows(bs);
-            let (batch, _) = tango.execute_physical(&optimized.plan).unwrap();
-            assert!(batch.list_eq(&row), "batch size {bs}\nrow:\n{row}\nbatch:\n{batch}");
-        }
-    })
+    tango.options_mut().batch_rows = 1;
+    let (row, _) = tango.execute_physical(&optimized.plan).unwrap();
+    for bs in [3usize, 8, DEFAULT_BATCH_ROWS] {
+        tango.options_mut().batch_rows = bs;
+        let (batch, _) = tango.execute_physical(&optimized.plan).unwrap();
+        assert!(batch.list_eq(&row), "batch size {bs}\nrow:\n{row}\nbatch:\n{batch}");
+    }
 }
 
 /// Seeded chaos schedules (latency spikes, throttles, transient faults
@@ -435,28 +290,26 @@ fn chaos_schedules_agree_row_vs_batch() {
     let queries = &queries()[..2]; // aggregation + join cover both wires
     let baselines: Vec<Relation> = queries.iter().map(|q| tango.query(q).unwrap().0).collect();
 
-    with_knob(|| {
-        for seed in [0xA11CEu64, 0x5EED5, 0xC0FFEE] {
-            let plan = Arc::new(
-                FaultPlan::random(seed, 0.2)
-                    .with_budget(3)
-                    .with_spikes(0.1, Duration::from_millis(2))
-                    .with_throttle(0.1, 4.0),
-            );
-            for bs in [1usize, 8, DEFAULT_BATCH_ROWS] {
-                set_batch_rows(bs);
-                db.link().set_injector(plan.clone());
-                for (q, base) in queries.iter().zip(&baselines) {
-                    let (rel, _) = tango.query(q).unwrap_or_else(|e| {
-                        panic!("seed {seed:#x} batch {bs}: chaos run failed: {e}\nquery: {q}")
-                    });
-                    assert!(
-                        rel.list_eq(base),
-                        "seed {seed:#x} batch {bs}: chaos result differs\nquery: {q}"
-                    );
-                }
-                db.link().clear_injector();
+    for seed in [0xA11CEu64, 0x5EED5, 0xC0FFEE] {
+        let plan = Arc::new(
+            FaultPlan::random(seed, 0.2)
+                .with_budget(3)
+                .with_spikes(0.1, Duration::from_millis(2))
+                .with_throttle(0.1, 4.0),
+        );
+        for bs in [1usize, 8, DEFAULT_BATCH_ROWS] {
+            tango.options_mut().batch_rows = bs;
+            db.link().set_injector(plan.clone());
+            for (q, base) in queries.iter().zip(&baselines) {
+                let (rel, _) = tango.query(q).unwrap_or_else(|e| {
+                    panic!("seed {seed:#x} batch {bs}: chaos run failed: {e}\nquery: {q}")
+                });
+                assert!(
+                    rel.list_eq(base),
+                    "seed {seed:#x} batch {bs}: chaos result differs\nquery: {q}"
+                );
             }
+            db.link().clear_injector();
         }
-    })
+    }
 }
