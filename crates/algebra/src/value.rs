@@ -217,18 +217,7 @@ impl Value {
         match self {
             Value::Null => Key::Null,
             Value::Int(i) => Key::Num(*i),
-            Value::Double(d) => {
-                if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d <= i64::MAX as f64 {
-                    // Integral doubles key like ints so mixed-type equi
-                    // joins agree with sql_cmp.
-                    Key::Num(*d as i64)
-                } else {
-                    // Map to a sortable integer key (total_cmp bit trick).
-                    let bits = d.to_bits() as i64;
-                    let norm = if bits < 0 { !bits } else { bits | i64::MIN };
-                    Key::Float(norm)
-                }
-            }
+            Value::Double(d) => Key::of_double(*d),
             Value::Date(d) => Key::Num(*d as i64),
             Value::Str(s) => Key::Str(s.clone()),
         }
@@ -244,6 +233,23 @@ pub enum Key {
     Num(i64),
     Float(i64),
     Str(String),
+}
+
+impl Key {
+    /// The key of a double: integral doubles key like ints, every other
+    /// double (fractions, infinities, NaNs) by its `total_cmp` bits.
+    pub fn of_double(d: f64) -> Key {
+        if d.fract() == 0.0 && d >= i64::MIN as f64 && d <= i64::MAX as f64 {
+            // Integral doubles key like ints so mixed-type equi joins
+            // agree with sql_cmp.
+            Key::Num(d as i64)
+        } else {
+            // Map to a sortable integer key (total_cmp bit trick).
+            let bits = d.to_bits() as i64;
+            let norm = if bits < 0 { !bits } else { bits | i64::MIN };
+            Key::Float(norm)
+        }
+    }
 }
 
 impl PartialEq for Value {

@@ -25,8 +25,9 @@ use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    drain_of, BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExternalSort, Filter, MergeJoin,
-    NestedLoopJoin, Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
+    drain_batches, drain_of, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor, DupElim,
+    ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate,
+    TemporalDiff, TemporalMergeJoin,
 };
 
 /// Observed execution of one algorithm instance.
@@ -352,11 +353,15 @@ fn stage_breakers(
         )
         .ok()
         .and_then(|v| v.first().map(|e| e.est_rows));
-        // run the breaker to completion and materialize its output
-        let (cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
-        let rel = run_to_completion(cur, ctx.batch_rows)?;
+        // run the breaker to completion and keep its output as the
+        // batches it produced (a columnar output stays columnar)
+        let (mut cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
+        cur.open()?;
+        let schema = cur.schema().clone();
+        let batches = drain_batches(cur.as_mut(), ctx.batch_rows)?;
+        cur.close()?;
         let slot = ctx.collector.slot(breaker_idx).clone();
-        let actual = rel.len();
+        let actual: usize = batches.iter().map(Batch::len).sum();
 
         // register the materialization: observed statistics, the order
         // it holds, and the span that will serve it (created now so span
@@ -366,14 +371,14 @@ fn stage_breakers(
             name.clone(),
             Materialization {
                 table: (
-                    rel.schema().clone(),
-                    RelationStats::from_relation(&rel, replan.histogram_buckets),
+                    schema.clone(),
+                    RelationStats::from_batches(&schema, &batches, replan.histogram_buckets),
                 ),
                 order: delivered_order(&breaker, materialized),
             },
         );
         let span = Some(ctx.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]));
-        ctx.mats.insert(name.clone(), MatEntry { rel, span });
+        ctx.mats.insert(name.clone(), MatEntry { schema, batches: Some(batches), span });
         replace_at(
             work,
             &path,
@@ -612,9 +617,19 @@ struct Ctx<'a> {
 }
 
 /// One mid-query materialization held by the engine.
+///
+/// Each `#MATn` has exactly one consumer, so its output is moved, not
+/// copied, into the `MATSCAN^M` that serves it. The name appears once
+/// in the working plan; staging never descends below a `MATSCAN^M`
+/// (`find_breaker`); and after a splice the rendered subtree under a
+/// `MATSCAN^M` is re-attached for display only — `build_mid_indexed`
+/// serves the node without ever rebuilding its children.
 struct MatEntry {
-    /// The drained breaker output.
-    rel: Relation,
+    /// Schema of the breaker's output stream.
+    schema: Arc<Schema>,
+    /// The drained breaker output, as the batches the breaker produced;
+    /// `None` once moved into its `MATSCAN^M`.
+    batches: Option<Vec<Batch>>,
     /// The `MATSCAN^M` span that will serve it, created eagerly at
     /// materialization time so span order stays the post-order of the
     /// final plan (`None` on the untraced path).
@@ -857,13 +872,13 @@ impl<'a> Ctx<'a> {
             // eagerly when the breaker drained, so reuse it rather than
             // appending a new one (children are kept for rendering only)
             Algo::MatScanM(name) => {
-                let entry = self.mats.get(name).ok_or_else(|| {
+                let entry = self.mats.get_mut(name).ok_or_else(|| {
                     TangoError::Exec(format!("unknown mid-query materialization {name}"))
                 })?;
-                let cursor: BoxCursor = Box::new(VecScan::from_parts(
-                    entry.rel.schema().clone(),
-                    entry.rel.tuples().to_vec(),
-                ));
+                let batches = entry.batches.take().ok_or_else(|| {
+                    TangoError::Exec(format!("materialization {name} already consumed"))
+                })?;
+                let cursor: BoxCursor = Box::new(BatchScan::new(entry.schema.clone(), batches));
                 return Ok(match (&entry.span, self.trace) {
                     (Some((idx, slot)), true) => {
                         let wrapped = Instrumented {
@@ -1759,6 +1774,41 @@ mod tests {
         let plan = un(Algo::TransferM, bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), ghost));
         assert!(execute(&conn, &plan, &ExecOptions::default()).is_err());
         assert!(!conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")));
+    }
+
+    /// A staged materialization is moved into the one `MATSCAN^M` that
+    /// serves it; building that node a second time is an error, not a
+    /// quietly empty relation.
+    #[test]
+    fn materialization_is_served_once() {
+        let conn = setup();
+        let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "C")];
+        let mut work = un(
+            Algo::TAggrM { group_by: vec!["PosID".into()], aggs },
+            un(
+                Algo::TransferM,
+                un(Algo::SortD(SortSpec::by(["PosID", "T1"])), scan(&conn, "POSITION")),
+            ),
+        );
+        let replan = Replan {
+            catalog: Arc::new(crate::collector::collect(&conn, true).unwrap()),
+            opt: OptOptions::default(),
+            residency: Arc::default(),
+            ratio: 8.0,
+            histogram_buckets: 0,
+        };
+        let opts = ExecOptions::default();
+        let mut ctx = Ctx::new(&conn, &opts);
+        stage_breakers(&mut ctx, &mut work, &mut Materialized::new(), &replan).unwrap();
+        assert_eq!(work.children[0].algo, Algo::MatScanM("#MAT0".into()));
+        let rel = run_to_completion(ctx.build_mid(&work).unwrap(), 1024).unwrap();
+        // PosID 1 has three constant periods, PosID 2 one
+        assert_eq!(rel.len(), 4);
+        match ctx.build_mid(&work) {
+            Err(TangoError::Exec(msg)) => assert_eq!(msg, "materialization #MAT0 already consumed"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a consumed materialization was served again"),
+        }
     }
 
     #[test]

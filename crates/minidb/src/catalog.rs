@@ -342,8 +342,7 @@ impl Database {
             .collect();
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-        let rel = Relation::new(table.schema.clone(), table.rows.clone());
-        let mut stats = RelationStats::from_relation(&rel, HISTOGRAM_BUCKETS);
+        let mut stats = RelationStats::from_rows(&table.schema, &table.rows, HISTOGRAM_BUCKETS);
         for (col, clustered) in indexed {
             if let Some(a) = stats.attrs.get_mut(&col) {
                 a.indexed = true;

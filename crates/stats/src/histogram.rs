@@ -23,18 +23,24 @@ impl Histogram {
     /// Build from a column of values (nulls ignored). `buckets` is capped
     /// by the number of values.
     pub fn build(mut vals: Vec<f64>, buckets: usize) -> Option<Histogram> {
-        if vals.is_empty() || buckets == 0 {
+        vals.sort_by(f64::total_cmp);
+        Self::from_sorted(vals.len(), buckets, |i| vals[i])
+    }
+
+    /// Build from `n` values already in ascending order, `at(i)` reading
+    /// the `i`-th as a number — so a sorted column of another type (an
+    /// `i64` date column, say) needs no second sort or copy.
+    pub fn from_sorted(n: usize, buckets: usize, at: impl Fn(usize) -> f64) -> Option<Histogram> {
+        if n == 0 || buckets == 0 {
             return None;
         }
-        vals.sort_by(f64::total_cmp);
-        let n = vals.len();
         let b = buckets.min(n);
         let mut endpoints = Vec::with_capacity(b + 1);
-        endpoints.push(vals[0]);
+        endpoints.push(at(0));
         for i in 1..=b {
             // Oracle-style: endpoint i is the value at quantile i/b.
             let idx = ((i * n) / b).saturating_sub(1);
-            endpoints.push(vals[idx]);
+            endpoints.push(at(idx));
         }
         Some(Histogram { endpoints, values: n as u64 })
     }

@@ -95,7 +95,7 @@ pub use filter::Filter;
 pub use merge_join::MergeJoin;
 pub use nested_loop::NestedLoopJoin;
 pub use project::Project;
-pub use scan::{CachedScan, VecScan};
+pub use scan::{BatchScan, CachedScan, VecScan};
 pub use set_ops::{ExceptAll, IntersectAll, UnionAll};
 pub use sort::{ExternalSort, Sort};
 pub use taggr::TemporalAggregate;
