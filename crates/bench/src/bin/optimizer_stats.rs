@@ -13,16 +13,23 @@
 //! arguments to expensive operations"), showing their effect on the
 //! search space and the plan.
 //!
-//! Usage: `cargo run --release -p tango-bench --bin optimizer_stats [--no-pushdown] [--small]`
+//! `--check` fails the run when any query's Volcano search makes more
+//! than `MAX_SEARCHES_PER_CLASS` searches per equivalence class. Search
+//! counts are deterministic, so the check holds on any host.
+//!
+//! Usage: `cargo run --release -p tango-bench --bin optimizer_stats [--no-pushdown] [--small] [--check]`
 
+use std::process::ExitCode;
 use tango_algebra::date::day;
 use tango_bench::plans::{placement_summary, q1_sql, q2_sql, q3_sql, q4_sql};
 use tango_bench::{load_uis, uis_link_profile};
+use tango_core::opt::MAX_SEARCHES_PER_CLASS;
 use tango_uis::UisConfig;
 
-fn main() {
+fn main() -> ExitCode {
     let small = std::env::args().any(|a| a == "--small");
     let no_pushdown = std::env::args().any(|a| a == "--no-pushdown");
+    let check = std::env::args().any(|a| a == "--check");
     let cfg = if small { UisConfig::small(0xEC1) } else { UisConfig::default() };
     eprintln!("loading UIS ({} POSITION rows) ...", cfg.position_rows);
     let mut setup = load_uis(&cfg, uis_link_profile(), true);
@@ -43,8 +50,15 @@ fn main() {
         "{:24} {:>8} {:>9} {:>10} {:>10}  placement",
         "query", "classes", "elements", "opt. time", "est. cost"
     );
+    let mut over = Vec::new();
     for (name, sql) in queries {
         let q = setup.tango.optimize(&sql).expect("optimize failed");
+        if q.search.optimize_calls > MAX_SEARCHES_PER_CLASS * q.classes {
+            over.push(format!(
+                "{name}: {} optimize calls for {} classes",
+                q.search.optimize_calls, q.classes
+            ));
+        }
         println!(
             "{:24} {:>8} {:>9} {:>8.1}ms {:>8.0}ms  {}",
             name,
@@ -73,6 +87,17 @@ fn main() {
     println!(
         "paper (its rule formulation): Q1 12/29, Q2 142/452, Q3 104/301, Q4 13/30 classes/elements"
     );
+    if check {
+        if !over.is_empty() {
+            eprintln!(
+                "CHECK FAILED: more than {MAX_SEARCHES_PER_CLASS} searches per class:\n  {}",
+                over.join("\n  ")
+            );
+            return ExitCode::FAILURE;
+        }
+        eprintln!("check passed: at most {MAX_SEARCHES_PER_CLASS} searches per class");
+    }
+    ExitCode::SUCCESS
 }
 
 fn indent(s: &str, n: usize) -> String {

@@ -542,6 +542,13 @@ fn convert(l: &Logical) -> Result<NewExpr<TOp>> {
     })
 }
 
+/// Search-effort tripwire: Volcano searches allowed per equivalence
+/// class. The search visits each `(group, requirement)` pair once, and a
+/// group is asked for two sites times a few orderings: none, plus the
+/// one or two orders its consumers need. The paper's queries come to
+/// 4–4.3 searches per class.
+pub const MAX_SEARCHES_PER_CLASS: usize = 6;
+
 /// The result of one optimization run.
 pub struct Optimized {
     /// The winning physical plan.

@@ -19,6 +19,16 @@
 //!
 //! plus a set of [`Rule`]s generating equivalent expressions.
 //!
+//! The search ([`optimize`]) is context-free: it expands every
+//! `(group, required)` pair it reaches exactly once and relaxes their
+//! costs to a fixpoint, so enforcer cycles (sites enforced both ways)
+//! and memo cycles (an element reaching its own group through its
+//! inputs) need no cut, and every answer is the cheapest acyclic plan.
+//! [`SearchStats::optimize_calls`] counts the pairs expanded;
+//! [`SearchStats::cycles_pruned`] counts only the zero-cost cycles broken
+//! while building the winner, and stays 0 when every cycle costs
+//! something.
+//!
 //! Terminology matches the paper's description of Volcano: a memo *group*
 //! is an **equivalence class**; a memo expression is a **class element**.
 //! [`Memo::group_count`] / [`Memo::expr_count`] reproduce the
@@ -207,13 +217,13 @@ mod toy_tests {
 #[cfg(test)]
 mod enforcer_cycle_tests {
     //! Regression: bidirectional enforcers (TANGO's `T^M`/`T^D` site
-    //! transfers) create cycles in the `(group, required)` graph. A frame
-    //! truncated by the cycle guard is evaluated *relative to the
-    //! requirements on the stack* — memoizing its answer used to poison
-    //! later lookups of the same pair from clean contexts, hiding
-    //! feasible (and cheaper) plans.
+    //! transfers) create cycles in the `(group, required)` graph. A search
+    //! that cuts such a cycle gets an answer that depends on the
+    //! requirements on its stack; memoizing that answer hides feasible
+    //! (and cheaper) plans from every later lookup of the pair.
 
     use super::*;
+    use std::cell::RefCell;
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     enum Op {
@@ -226,6 +236,13 @@ mod enforcer_cycle_tests {
     #[derive(Clone, Debug)]
     struct Props;
 
+    /// Every `(operator, requirement)` whose implementations the search
+    /// asked for, in order.
+    #[derive(Default)]
+    struct Sites {
+        searched: RefCell<Vec<(Op, Req)>>,
+    }
+
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Req {
         /// `Home`, plus an ordering only the `sort` enforcer delivers.
@@ -233,8 +250,6 @@ mod enforcer_cycle_tests {
         Home,
         Away,
     }
-
-    struct Sites;
 
     impl Semantics for Sites {
         type Op = Op;
@@ -253,6 +268,7 @@ mod enforcer_cycle_tests {
             _props: &Props,
             required: &Req,
         ) -> Vec<Implementation<Self>> {
+            self.searched.borrow_mut().push((op.clone(), *required));
             match (op, required) {
                 (Op::Leaf, Req::Home | Req::HomeSorted) => {
                     vec![Implementation { algo: "leaf".into(), child_required: vec![], cost: 1.0 }]
@@ -296,18 +312,23 @@ mod enforcer_cycle_tests {
         }
     }
 
-    /// `(Leaf, Away)` is first reached through the in-progress chain
-    /// `(Leaf, Home) → ship_home → (Leaf, Away) → ship_away → (Leaf,
-    /// Home)` and pruned; when `wrap_away` later asks for the same pair
-    /// from a clean stack, the answer must be recomputed, not replayed.
+    /// `(Leaf, Away)` is reached both inside the cycle `(Leaf, Home) →
+    /// ship_home → (Leaf, Away) → ship_away → (Leaf, Home)` and from
+    /// `wrap_away`; it must be searched once and answer both the same.
     #[test]
-    fn cycle_prune_is_not_memoized() {
+    fn enforcer_cycle_pairs_are_searched_once() {
         let tree = NewExpr::Op(Op::Wrap, vec![NewExpr::Op(Op::Leaf, vec![])]);
-        let mut memo = Memo::new(Sites);
+        let mut memo = Memo::new(Sites::default());
         let root = memo.insert_root(tree);
         let mut stats = SearchStats::default();
         let best = optimize(&memo, root, Req::HomeSorted, &mut stats).expect("plan");
-        assert!(stats.cycles_pruned > 0, "fixture never exercised the cycle guard");
+        let searched = memo.semantics().searched.borrow();
+        for (i, pair) in searched.iter().enumerate() {
+            assert!(!searched[..i].contains(pair), "{pair:?} searched twice: {searched:?}");
+        }
+        // (Wrap, HomeSorted/Home/Away) and (Leaf, Home/Away)
+        assert_eq!(stats.optimize_calls, 5);
+        assert_eq!(searched.len(), 5);
         // sort(ship_home(wrap_away(ship_away(leaf)))) = 0.1+5+0.5+5+1
         assert!(
             (best.cost - 11.6).abs() < 1e-9,
@@ -319,5 +340,78 @@ mod enforcer_cycle_tests {
         assert_eq!(best.plan.children[0].algo, "ship_home");
         assert_eq!(best.plan.children[0].children[0].algo, "wrap_away");
         assert_eq!(best.plan.children[0].children[0].children[0].algo, "ship_away");
+    }
+}
+
+#[cfg(test)]
+mod zero_cost_cycle_tests {
+    //! Enforcers may cycle at no cost: TANGO's transfers do when
+    //! calibration fits no fixed `T^D` cost and a relation is empty.
+    //! Choosing every requirement's first minimum then can wrap a plan in
+    //! itself; the search must still return a finite, cheapest plan.
+
+    use super::*;
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Leaf;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Req {
+        X,
+        Y,
+        Z,
+    }
+
+    struct Free;
+
+    impl Semantics for Free {
+        type Op = Leaf;
+        type Props = ();
+        type PhysProps = Req;
+        type Algo = String;
+
+        fn derive_props(&self, _op: &Leaf, _children: &[&()]) {}
+
+        fn implementations(
+            &self,
+            _op: &Leaf,
+            _child_props: &[&()],
+            _props: &(),
+            required: &Req,
+        ) -> Vec<Implementation<Self>> {
+            match required {
+                Req::Z => {
+                    vec![Implementation { algo: "leaf".into(), child_required: vec![], cost: 1.0 }]
+                }
+                _ => vec![],
+            }
+        }
+
+        fn enforcers(&self, _props: &(), required: &Req) -> Vec<Enforcer<Self>> {
+            let free = |algo: &str, inner_required| Enforcer {
+                algo: algo.to_string(),
+                inner_required,
+                cost: 0.0,
+            };
+            match required {
+                Req::X => vec![free("x_from_y", Req::Y)],
+                // the first minimum is the way back to X
+                Req::Y => vec![free("y_from_x", Req::X), free("y_from_z", Req::Z)],
+                Req::Z => vec![],
+            }
+        }
+    }
+
+    #[test]
+    fn zero_cost_cycle_still_yields_a_cheapest_plan() {
+        let mut memo = Memo::new(Free);
+        let root = memo.insert_root(NewExpr::Op(Leaf, vec![]));
+        let mut stats = SearchStats::default();
+        let best = optimize(&memo, root, Req::X, &mut stats).expect("plan");
+        assert_eq!(best.cost, 1.0);
+        assert_eq!(stats.cycles_pruned, 1);
+        assert_eq!(best.plan.algo, "x_from_y");
+        assert_eq!(best.plan.children[0].algo, "y_from_z");
+        assert_eq!(best.plan.children[0].children[0].algo, "leaf");
     }
 }

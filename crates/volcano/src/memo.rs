@@ -47,7 +47,10 @@ pub trait Semantics: Sized {
 
     /// Property enforcers applicable when `required` cannot (or should not
     /// only) be delivered natively: each wraps a plan optimized for the
-    /// enforcer's weaker `inner_required`.
+    /// enforcer's weaker `inner_required`. Enforcers may lead back to
+    /// `required` through one another (TANGO's site transfers do). Costs
+    /// must be non-negative, and every such cycle should cost more than
+    /// zero for ties to break as documented in [`crate::search`].
     fn enforcers(
         &self,
         props: &Self::Props,
