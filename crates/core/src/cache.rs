@@ -130,7 +130,7 @@
 //! newer versions replace the incumbent.
 
 use crate::cost::CostFactors;
-use crate::phys::{Algo, PhysNode, TOp};
+use crate::phys::{Algo, PhysNode, Site, TOp};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,35 +231,27 @@ pub fn fragment_key(
 }
 
 /// Erase a physical DBMS operator tree to its canonical signature,
-/// collecting base-table names. `None` ⇒ uncacheable.
+/// collecting base-table names. `None` ⇒ uncacheable: an interior sort's
+/// order is not representable in the key, and any middleware algorithm
+/// or `TRANSFER^D` means this is not a pure DBMS fragment.
 fn erase(
     node: &PhysNode,
     is_temp: &dyn Fn(&str) -> bool,
     tables: &mut Vec<String>,
 ) -> Option<String> {
-    let kids: Option<Vec<String>> =
-        node.children.iter().map(|c| erase(c, is_temp, tables)).collect();
-    let kids = kids?;
-    Some(match &node.algo {
-        Algo::ScanD(t) => {
-            if is_temp(t) {
-                return None;
-            }
-            tables.push(t.to_uppercase());
-            canon("GET", &t.to_uppercase(), &[])
+    if node.algo.site() != Site::Dbms {
+        return None;
+    }
+    let op = node.algo.op()?;
+    if let TOp::Get { table } = &op {
+        if is_temp(table) {
+            return None;
         }
-        Algo::FilterD(pred) => canon("SEL", &pred.to_string(), &kids),
-        Algo::ProjectD(items) => canon("PROJ", &proj_params(items), &kids),
-        Algo::JoinD(eq) => canon("JOIN", &eq_params(eq), &kids),
-        Algo::TJoinD(eq) => canon("TJOIN", &eq_params(eq), &kids),
-        Algo::ProductD => canon("PROD", "", &kids),
-        Algo::TAggrD { group_by, aggs } => canon("TAGGR", &taggr_params(group_by, aggs), &kids),
-        Algo::DupElimD => canon("DUP", "", &kids),
-        // an interior sort's order is not representable in the key, and
-        // any middleware algorithm or TRANSFER^D means this is not a
-        // pure DBMS fragment
-        _ => return None,
-    })
+        tables.push(table.to_uppercase());
+    }
+    let kids: Vec<String> =
+        node.children.iter().map(|c| erase(c, is_temp, tables)).collect::<Option<_>>()?;
+    Some(top_signature(&op, &kids))
 }
 
 /// A materialized relation served from the cache: shared, immutable.
@@ -1321,7 +1313,7 @@ pub fn maintenance_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_algebra::{tup, Attr, Expr, Type};
+    use tango_algebra::{tup, AggFunc, AggSpec, Attr, Expr, Type};
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![Attr::new("A", Type::Int)]))
@@ -1347,20 +1339,47 @@ mod tests {
     }
 
     /// The two signature computations — compositional over `TOp` and
-    /// erased from a physical fragment — agree on the same shape.
+    /// erased from a physical fragment — agree for every DBMS algorithm
+    /// that implements an operator. If they drifted, every warm
+    /// `TRANSFER^M` over that shape would miss the cache.
     #[test]
     fn signature_parity_logical_vs_physical() {
         let pred = Expr::eq(Expr::col("PosID"), Expr::lit(7));
-        let sig_get = top_signature(&TOp::Get { table: "position".into() }, &[]);
-        let sig_sel = top_signature(&TOp::Select { pred: pred.clone() }, &[sig_get]);
-
+        let eq = vec![("PosID".to_string(), "PosID".to_string())];
+        let items = vec![ProjItem::col("PosID")];
+        let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")];
+        let sig_get = |t: &str| top_signature(&TOp::Get { table: t.into() }, &[]);
         let scan =
-            PhysNode { algo: Algo::ScanD("position".into()), schema: schema(), children: vec![] };
-        let filter = PhysNode { algo: Algo::FilterD(pred), schema: schema(), children: vec![scan] };
-        let k = fragment_key(&filter, "SELECT ...", &|_| false).expect("cacheable");
-        assert_eq!(k.signature, sig_sel);
-        assert_eq!(k.tables, vec!["POSITION".to_string()]);
-        assert_eq!(k.order, SortSpec::none());
+            |t: &str| PhysNode { algo: Algo::ScanD(t.into()), schema: schema(), children: vec![] };
+        let cases = [
+            (Algo::FilterD(pred.clone()), TOp::Select { pred }, 1),
+            (Algo::ProjectD(items.clone()), TOp::Project { items }, 1),
+            (Algo::JoinD(eq.clone()), TOp::Join { eq: eq.clone() }, 2),
+            (Algo::TJoinD(eq.clone()), TOp::TJoin { eq }, 2),
+            (Algo::ProductD, TOp::Product, 2),
+            (
+                Algo::TAggrD { group_by: vec!["PosID".into()], aggs: aggs.clone() },
+                TOp::TAggr { group_by: vec!["PosID".into()], aggs },
+                1,
+            ),
+            (Algo::DupElimD, TOp::DupElim, 1),
+        ];
+        for (algo, op, arity) in cases {
+            let tables = &["position", "employee"][..arity];
+            let label = algo.label();
+            let node = PhysNode {
+                algo,
+                schema: schema(),
+                children: tables.iter().map(|t| scan(t)).collect(),
+            };
+            let k = fragment_key(&node, "SELECT ...", &|_| false).expect("cacheable");
+            let kids: Vec<String> = tables.iter().map(|t| sig_get(t)).collect();
+            assert_eq!(k.signature, top_signature(&op, &kids), "{label}");
+            let mut want: Vec<String> = tables.iter().map(|t| t.to_uppercase()).collect();
+            want.sort();
+            assert_eq!(k.tables, want, "{label}");
+            assert_eq!(k.order, SortSpec::none(), "{label}");
+        }
     }
 
     /// A topmost `SORT^D` becomes the key's delivered order; an interior

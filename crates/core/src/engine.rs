@@ -16,7 +16,7 @@ use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
 use crate::opt::{self, Catalog, Materialization, Materialized, OptOptions};
 use crate::phys::{Algo, PhysNode, Site};
-use crate::{refresh, session, to_sql};
+use crate::{refresh, to_sql};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -344,15 +344,9 @@ fn stage_breakers(
         let breaker = node_at(work, &path).clone();
         // what the optimizer believes this breaker will produce, given
         // everything observed so far
-        let est_rows = session::estimate_plan_nodes_with(
-            &breaker,
-            &replan.catalog,
-            materialized,
-            &factors,
-            naive,
-        )
-        .ok()
-        .and_then(|v| v.first().map(|e| e.est_rows));
+        let estimates =
+            opt::estimate_plan(&breaker, &replan.catalog, materialized, &factors, naive);
+        let est_rows = estimates[0].est_rows;
         // run the breaker to completion and keep its output as the
         // batches it produced (a columnar output stays columnar)
         let (mut cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
@@ -392,24 +386,25 @@ fn stage_breakers(
         // the misestimate monitor — unless a wire fault already
         // re-planned this breaker mid-drain (never re-plan twice over one
         // observation)
-        let divergence = est_rows.map(|est| {
-            let e = est.max(1.0);
+        let divergence = {
+            let e = est_rows.max(1.0);
             let a = (actual as f64).max(1.0);
             (a / e).max(e / a)
-        });
-        let triggered =
-            !slot.has_event("replan") && divergence.map(|d| d >= replan.ratio).unwrap_or(false);
+        };
+        let triggered = !slot.has_event("replan") && divergence >= replan.ratio;
         if !triggered {
             continue;
         }
-        let old_cost = session::estimate_plan_with(
+        let old_cost: f64 = opt::estimate_plan(
             &remainder_only(work),
             &replan.catalog,
             materialized,
             &factors,
             naive,
         )
-        .ok();
+        .iter()
+        .map(|e| e.est_cost_us)
+        .sum();
         let logical = phys_to_logical(work)?;
         let Ok(new) = opt::reoptimize(
             &logical,
@@ -423,14 +418,14 @@ fn stage_breakers(
             // no feasible alternative: keep the running plan
             continue;
         };
-        let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
+        let gain = (old_cost - new.cost).max(0.0);
         slot.add_event(
             "cardinality-replan",
             format!(
                 "est {est:.1} rows, actual {actual} ({div:.1}x off): \
                  remainder re-optimized, est gain {gain:.0}us",
-                est = est_rows.unwrap_or(0.0),
-                div = divergence.unwrap_or(0.0),
+                est = est_rows,
+                div = divergence,
             ),
         );
         slot.add_counter("replans", 1);
@@ -531,32 +526,16 @@ fn remainder_only(n: &PhysNode) -> PhysNode {
 /// separately); materializations become `Get`s that only the
 /// `MATSCAN^M` implementation can resolve.
 fn phys_to_logical(n: &PhysNode) -> Result<Logical> {
-    let child =
-        |i: usize| -> Result<Box<Logical>> { Ok(Box::new(phys_to_logical(&n.children[i])?)) };
-    Ok(match &n.algo {
-        Algo::MatScanM(t) | Algo::ScanD(t) => Logical::Get { table: t.clone() },
-        Algo::TransferM | Algo::TransferD | Algo::SortM(_) | Algo::SortXM(..) | Algo::SortD(_) => {
-            phys_to_logical(&n.children[0])?
-        }
-        Algo::FilterM(p) | Algo::FilterD(p) => {
-            Logical::Select { pred: p.clone(), input: child(0)? }
-        }
-        Algo::ProjectM(items) | Algo::ProjectD(items) => {
-            Logical::Project { items: items.clone(), input: child(0)? }
-        }
-        Algo::MergeJoinM(eq) | Algo::JoinD(eq) => {
-            Logical::Join { eq: eq.clone(), left: child(0)?, right: child(1)? }
-        }
-        Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => {
-            Logical::TJoin { eq: eq.clone(), left: child(0)?, right: child(1)? }
-        }
-        Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-            Logical::TAggr { group_by: group_by.clone(), aggs: aggs.clone(), input: child(0)? }
-        }
-        Algo::DupElimM | Algo::DupElimD => Logical::DupElim { input: child(0)? },
-        Algo::CoalesceM => Logical::Coalesce { input: child(0)? },
-        Algo::TDiffM => Logical::Diff { left: child(0)?, right: child(1)? },
-        Algo::ProductD => Logical::Product { left: child(0)?, right: child(1)? },
+    if let Algo::MatScanM(t) = &n.algo {
+        return Ok(Logical::Get { table: t.clone() });
+    }
+    let inputs: Vec<Logical> = n.children.iter().map(phys_to_logical).collect::<Result<_>>()?;
+    Ok(match n.algo.op() {
+        Some(op) => op.over(inputs),
+        None => inputs
+            .into_iter()
+            .next()
+            .ok_or_else(|| TangoError::Optimizer(format!("{} without input", n.algo.label())))?,
     })
 }
 

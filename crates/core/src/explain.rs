@@ -84,21 +84,6 @@ fn fmt_rows(r: f64) -> String {
     }
 }
 
-fn params_of(algo: &Algo) -> String {
-    match algo {
-        Algo::FilterM(p) | Algo::FilterD(p) => format!(" [{p}]"),
-        Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-            let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
-            format!(" [group by {}; {}]", group_by.join(", "), a.join(", "))
-        }
-        Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) | Algo::JoinD(eq) | Algo::TJoinD(eq) => {
-            let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
-            format!(" [{}]", c.join(" AND "))
-        }
-        _ => String::new(),
-    }
-}
-
 /// Render `EXPLAIN`: the plan tree with site placement and estimated
 /// rows per node.
 pub fn render_explain(plan: &PhysNode, estimates: &[NodeEstimate]) -> String {
@@ -161,7 +146,7 @@ fn render_node(
     *pre += 1;
     out.push_str(&"  ".repeat(depth));
     out.push_str(&n.algo.label());
-    out.push_str(&params_of(&n.algo));
+    out.push_str(&n.algo.params());
 
     let site = match n.algo.site() {
         Site::Middleware => "middleware",

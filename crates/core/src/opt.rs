@@ -20,6 +20,7 @@
 use crate::cache::{self, Residency};
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
+use crate::explain::NodeEstimate;
 use crate::phys::{Algo, PhysNode, Req, Site, TOp};
 use crate::rules;
 use std::collections::HashMap;
@@ -182,6 +183,28 @@ impl TangoSem {
     }
 }
 
+/// Statistics of `op`'s output over inputs with the given statistics and
+/// schemas. A `Get` reads its table's statistics (materializations
+/// first, then the base catalog); every other operator, and a table
+/// without statistics, derives through [`tango_stats::derive_stats_with`].
+/// The memo's class properties and the per-node estimates of a physical
+/// plan ([`estimate_plan`]) both come from here.
+fn derive_stats(
+    op: &TOp,
+    (catalog, materialized): (&Catalog, &Materialized),
+    inputs: &[&RelationStats],
+    input_schemas: &[&Schema],
+    schema: &Schema,
+    naive_overlaps: bool,
+) -> RelationStats {
+    if let TOp::Get { table } = op {
+        if let Some((_, stats)) = lookup_table(catalog, materialized, table) {
+            return stats.clone();
+        }
+    }
+    tango_stats::derive_stats_with(&op.as_logical(), inputs, input_schemas, schema, naive_overlaps)
+}
+
 impl Semantics for TangoSem {
     type Op = TOp;
     type Props = GroupProps;
@@ -193,25 +216,10 @@ impl Semantics for TangoSem {
         let schema = op
             .output_schema(&child_schemas, &|t| self.table(t).map(|(s, _)| s.as_ref().clone()))
             .unwrap_or_else(|_| Schema::new(vec![]));
-        let stats = match op {
-            TOp::Get { table } => {
-                self.table(table).map(|(_, s)| s.clone()).unwrap_or_else(|| RelationStats {
-                    rows: 1000.0,
-                    avg_tuple_bytes: schema.est_tuple_bytes() as f64,
-                    ..Default::default()
-                })
-            }
-            _ => {
-                let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
-                tango_stats::derive_stats_with(
-                    &op.as_logical(),
-                    &child_stats,
-                    &child_schemas,
-                    &schema,
-                    self.naive_overlaps,
-                )
-            }
-        };
+        let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
+        let tables = (self.catalog.as_ref(), &self.materialized);
+        let stats =
+            derive_stats(op, tables, &child_stats, &child_schemas, &schema, self.naive_overlaps);
         let child_sigs: Vec<String> = children.iter().map(|p| p.signature.clone()).collect();
         let signature = cache::top_signature(op, &child_sigs);
         GroupProps { schema: Arc::new(schema), stats, signature }
@@ -496,6 +504,63 @@ impl Semantics for TangoSem {
         }
         out
     }
+}
+
+/// Per-node predictions for a physical plan, in pre-order (the numbering
+/// `EXPLAIN` renders against): each node's statistics derived bottom-up
+/// through [`derive_stats`] over its [operator](Algo::op), priced with
+/// the same formulas the search used, so the per-node costs of a cold
+/// plan the optimizer chose sum to its estimated cost. `naive_overlaps`
+/// is the optimizer's estimation mode, so the re-planner prices
+/// remainders exactly as the (possibly deliberately naive) optimizer
+/// would. A `MATSCAN^M` reads the *observed* statistics registered under
+/// its name, not its consumed subtree (which is kept for rendering and
+/// estimated too).
+pub fn estimate_plan(
+    plan: &PhysNode,
+    catalog: &Catalog,
+    materialized: &Materialized,
+    factors: &CostFactors,
+    naive_overlaps: bool,
+) -> Vec<NodeEstimate> {
+    fn go(
+        n: &PhysNode,
+        pre: usize,
+        ctx: (&Catalog, &Materialized, &CostFactors, bool),
+        out: &mut [NodeEstimate],
+    ) -> RelationStats {
+        let (catalog, materialized, factors, naive) = ctx;
+        let mut inputs = Vec::with_capacity(n.children.len());
+        let mut cpre = pre + 1;
+        for c in &n.children {
+            inputs.push(go(c, cpre, ctx, out));
+            cpre += c.node_count();
+        }
+        let input_refs: Vec<&RelationStats> = inputs.iter().collect();
+        let op = match &n.algo {
+            Algo::MatScanM(t) => Some(TOp::Get { table: t.clone() }),
+            algo => algo.op(),
+        };
+        let stats = match &op {
+            Some(op) => {
+                let schemas: Vec<&Schema> = n.children.iter().map(|c| c.schema.as_ref()).collect();
+                let tables = (catalog, materialized);
+                derive_stats(op, tables, &input_refs, &schemas, &n.schema, naive)
+            }
+            // transfers and sorts pass their input through
+            None => inputs.first().cloned().unwrap_or_default(),
+        };
+        // a leaf scan is priced over its own output
+        let cost = match op {
+            Some(TOp::Get { .. }) => factors.cost(&n.algo, &[&stats], &stats),
+            _ => factors.cost(&n.algo, &input_refs, &stats),
+        };
+        out[pre] = NodeEstimate { est_rows: stats.rows, est_cost_us: cost };
+        stats
+    }
+    let mut out = vec![NodeEstimate::default(); plan.node_count()];
+    go(plan, 0, (catalog, materialized, factors, naive_overlaps), &mut out);
+    out
 }
 
 /// Convert a parser-produced [`Logical`] tree into the memo form,

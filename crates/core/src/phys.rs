@@ -100,25 +100,35 @@ pub enum TOp {
 }
 
 impl TOp {
+    /// This operator as a [`Logical`] node over `inputs`, taken in
+    /// argument order (surplus inputs are ignored).
+    ///
+    /// # Panics
+    /// If `inputs` runs out before the operator's arity is met.
+    pub fn over(&self, inputs: impl IntoIterator<Item = Logical>) -> Logical {
+        let mut inputs = inputs.into_iter();
+        let mut next = || Box::new(inputs.next().expect("operator input"));
+        match self {
+            TOp::Get { table } => Logical::Get { table: table.clone() },
+            TOp::Select { pred } => Logical::Select { pred: pred.clone(), input: next() },
+            TOp::Project { items } => Logical::Project { items: items.clone(), input: next() },
+            TOp::Join { eq } => Logical::Join { eq: eq.clone(), left: next(), right: next() },
+            TOp::TJoin { eq } => Logical::TJoin { eq: eq.clone(), left: next(), right: next() },
+            TOp::Product => Logical::Product { left: next(), right: next() },
+            TOp::TAggr { group_by, aggs } => {
+                Logical::TAggr { group_by: group_by.clone(), aggs: aggs.clone(), input: next() }
+            }
+            TOp::DupElim => Logical::DupElim { input: next() },
+            TOp::Coalesce => Logical::Coalesce { input: next() },
+            TOp::Diff => Logical::Diff { left: next(), right: next() },
+        }
+    }
+
     /// Reconstruct a [`Logical`] node (with dummy children) for the
     /// statistics-derivation machinery, which dispatches on the operator
     /// shape only.
     pub fn as_logical(&self) -> Logical {
-        let dummy = || Box::new(Logical::Get { table: "_".into() });
-        match self {
-            TOp::Get { table } => Logical::Get { table: table.clone() },
-            TOp::Select { pred } => Logical::Select { pred: pred.clone(), input: dummy() },
-            TOp::Project { items } => Logical::Project { items: items.clone(), input: dummy() },
-            TOp::Join { eq } => Logical::Join { eq: eq.clone(), left: dummy(), right: dummy() },
-            TOp::TJoin { eq } => Logical::TJoin { eq: eq.clone(), left: dummy(), right: dummy() },
-            TOp::Product => Logical::Product { left: dummy(), right: dummy() },
-            TOp::TAggr { group_by, aggs } => {
-                Logical::TAggr { group_by: group_by.clone(), aggs: aggs.clone(), input: dummy() }
-            }
-            TOp::DupElim => Logical::DupElim { input: dummy() },
-            TOp::Coalesce => Logical::Coalesce { input: dummy() },
-            TOp::Diff => Logical::Diff { left: dummy(), right: dummy() },
-        }
+        self.over(std::iter::repeat(Logical::Get { table: "_".into() }))
     }
 
     /// Output schema given child schemas; `table_schema` resolves `Get`.
@@ -145,22 +155,6 @@ impl TOp {
             TOp::TJoin { eq } => tjoin_schema(eq, children[0], children[1])?,
             TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, children[0])?,
         })
-    }
-
-    /// Display name of the operator.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TOp::Get { .. } => "GET",
-            TOp::Select { .. } => "SELECT",
-            TOp::Project { .. } => "PROJECT",
-            TOp::Join { .. } => "JOIN",
-            TOp::TJoin { .. } => "TJOIN",
-            TOp::Product => "PRODUCT",
-            TOp::TAggr { .. } => "TAGGR",
-            TOp::DupElim => "DUPELIM",
-            TOp::Coalesce => "COALESCE",
-            TOp::Diff => "DIFF",
-        }
     }
 }
 
@@ -288,44 +282,60 @@ impl Algo {
         }
     }
 
-    /// Output schema given child schemas.
-    pub fn output_schema(&self, children: &[&Schema]) -> tango_algebra::Result<Schema> {
-        Ok(match self {
-            Algo::FilterM(_)
-            | Algo::FilterD(_)
-            | Algo::SortM(_)
+    /// The logical operator this algorithm implements — the one
+    /// algorithm→operator mapping. `SCAN^D` implements `Get`; transfers
+    /// and sorts enforce physical properties and `MATSCAN^M` reads a
+    /// mid-query materialization, so they implement none.
+    pub fn op(&self) -> Option<TOp> {
+        Some(match self {
+            Algo::ScanD(table) => TOp::Get { table: table.clone() },
+            Algo::FilterM(pred) | Algo::FilterD(pred) => TOp::Select { pred: pred.clone() },
+            Algo::ProjectM(items) | Algo::ProjectD(items) => TOp::Project { items: items.clone() },
+            Algo::MergeJoinM(eq) | Algo::JoinD(eq) => TOp::Join { eq: eq.clone() },
+            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => TOp::TJoin { eq: eq.clone() },
+            Algo::ProductD => TOp::Product,
+            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
+                TOp::TAggr { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            Algo::DupElimM | Algo::DupElimD => TOp::DupElim,
+            Algo::CoalesceM => TOp::Coalesce,
+            Algo::TDiffM => TOp::Diff,
+            Algo::SortM(_)
             | Algo::SortXM(..)
             | Algo::SortD(_)
-            | Algo::DupElimM
-            | Algo::DupElimD
-            | Algo::CoalesceM
             | Algo::TransferM
-            | Algo::TransferD => children[0].clone(),
-            Algo::TDiffM => children[0].clone(),
-            Algo::ProjectM(items) | Algo::ProjectD(items) => {
-                TOp::Project { items: items.clone() }.output_schema(children, &|_| None)?
-            }
-            Algo::MergeJoinM(_) | Algo::JoinD(_) | Algo::ProductD => {
-                concat_schemas(children[0], children[1])
-            }
-            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => tjoin_schema(eq, children[0], children[1])?,
-            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                taggr_schema(group_by, aggs, children[0])?
-            }
-            Algo::ScanD(_) => {
-                return Err(tango_algebra::AlgebraError::Schema(
-                    "ScanD schema must come from the catalog".into(),
-                ))
-            }
-            Algo::MatScanM(name) => match children.first() {
-                Some(c) => (*c).clone(),
-                None => {
-                    return Err(tango_algebra::AlgebraError::Schema(format!(
-                        "MatScanM {name} schema must come from the materialized relation"
-                    )))
-                }
-            },
+            | Algo::TransferD
+            | Algo::MatScanM(_) => return None,
         })
+    }
+
+    /// The bracketed parameters a plan rendering prints after the label
+    /// (empty for algorithms shown by label alone).
+    pub fn params(&self) -> String {
+        match self {
+            Algo::FilterM(p) | Algo::FilterD(p) => format!(" [{p}]"),
+            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
+                let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
+                format!(" [group by {}; {}]", group_by.join(", "), a.join(", "))
+            }
+            Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) | Algo::JoinD(eq) | Algo::TJoinD(eq) => {
+                let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
+                format!(" [{}]", c.join(" AND "))
+            }
+            _ => String::new(),
+        }
+    }
+
+    /// Output schema given child schemas: the operator's (see
+    /// [`Algo::op`]), or the input's for transfers and sorts. Leaf scans
+    /// take theirs from the catalog or the materialized relation.
+    pub fn output_schema(&self, children: &[&Schema]) -> tango_algebra::Result<Schema> {
+        match self.op() {
+            Some(op) => op.output_schema(children, &|_| None),
+            None => children.first().map(|c| (*c).clone()).ok_or_else(|| {
+                tango_algebra::AlgebraError::Schema(format!("{} has no input", self.label()))
+            }),
+        }
     }
 }
 
@@ -347,23 +357,7 @@ impl PhysNode {
         fn go(n: &PhysNode, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
             out.push_str(&n.algo.label());
-            match &n.algo {
-                Algo::FilterM(p) | Algo::FilterD(p) => {
-                    out.push_str(&format!(" [{p}]"));
-                }
-                Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                    let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
-                    out.push_str(&format!(" [group by {}; {}]", group_by.join(", "), a.join(", ")));
-                }
-                Algo::MergeJoinM(eq)
-                | Algo::TMergeJoinM(eq)
-                | Algo::JoinD(eq)
-                | Algo::TJoinD(eq) => {
-                    let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
-                    out.push_str(&format!(" [{}]", c.join(" AND ")));
-                }
-                _ => {}
-            }
+            out.push_str(&n.algo.params());
             out.push('\n');
             for c in &n.children {
                 go(c, depth + 1, out);

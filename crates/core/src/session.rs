@@ -28,7 +28,7 @@ use crate::calibrate::{self, Calibration};
 use crate::collector;
 use crate::cost::CostFactors;
 use crate::engine::{self, ExecOptions, ExecReport};
-use crate::error::{Result, TangoError};
+use crate::error::Result;
 use crate::explain::{self, NodeEstimate};
 use crate::feedback;
 use crate::opt::{self, Catalog, Materialized, OptOptions};
@@ -500,7 +500,7 @@ impl Tango {
     }
 
     /// Per-node predictions for `plan` under the session's factors and
-    /// estimation mode (empty if some table has no statistics).
+    /// estimation mode.
     fn estimate_nodes(
         &self,
         plan: &PhysNode,
@@ -508,8 +508,7 @@ impl Tango {
         materialized: &Materialized,
     ) -> Vec<NodeEstimate> {
         let naive = self.options.opt.naive_overlaps;
-        estimate_plan_nodes_with(plan, catalog, materialized, &self.factors, naive)
-            .unwrap_or_default()
+        opt::estimate_plan(plan, catalog, materialized, &self.factors, naive)
     }
 
     /// `EXPLAIN`: optimize `sql` and render the chosen plan with site
@@ -614,133 +613,8 @@ impl Tango {
     /// current factors and statistics (used by plan-choice experiments).
     pub fn estimate_physical(&mut self, plan: &PhysNode) -> Result<f64> {
         let catalog = self.catalog()?;
-        estimate_plan_with(plan, &catalog, &Materialized::new(), &self.factors, false)
-    }
-}
-
-/// Bottom-up cost estimate of a physical plan: derive statistics per node
-/// (using the same machinery as the optimizer) and sum the formula costs.
-/// `naive_overlaps` is the optimizer's estimation mode, so the engine's
-/// re-planner prices remainders exactly as the (possibly deliberately
-/// naive) optimizer would.
-pub(crate) fn estimate_plan_with(
-    plan: &PhysNode,
-    catalog: &Catalog,
-    materialized: &Materialized,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-) -> Result<f64> {
-    let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, materialized, factors, naive_overlaps, &mut out).map(|(_, c)| c)
-}
-
-/// Per-node predictions for the plan, indexed in pre-order (the numbering
-/// `EXPLAIN` renders against).
-pub(crate) fn estimate_plan_nodes_with(
-    plan: &PhysNode,
-    catalog: &Catalog,
-    materialized: &Materialized,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-) -> Result<Vec<NodeEstimate>> {
-    let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, materialized, factors, naive_overlaps, &mut out)?;
-    Ok(out)
-}
-
-fn go_estimate(
-    n: &PhysNode,
-    pre: usize,
-    catalog: &Catalog,
-    materialized: &Materialized,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-    out: &mut [NodeEstimate],
-) -> Result<(tango_stats::RelationStats, f64)> {
-    use crate::phys::Algo;
-    {
-        let mut child_stats = Vec::new();
-        let mut child_cost = 0.0;
-        let mut cpre = pre + 1;
-        for c in &n.children {
-            let (s, cost) =
-                go_estimate(c, cpre, catalog, materialized, factors, naive_overlaps, out)?;
-            cpre += c.node_count();
-            child_stats.push(s);
-            child_cost += cost;
-        }
-        let stats = match &n.algo {
-            // MATSCAN^M estimates come from the *observed* statistics the
-            // re-plan driver registered under the materialization's name,
-            // not from the consumed subtree kept for rendering.
-            Algo::ScanD(t) | Algo::MatScanM(t) => opt::lookup_table(catalog, materialized, t)
-                .map(|(_, s)| s.clone())
-                .ok_or_else(|| TangoError::Optimizer(format!("no statistics for {t}")))?,
-            Algo::FilterM(p) | Algo::FilterD(p) => {
-                let schema = &n.children[0].schema;
-                tango_stats::cardinality::derive_select_with(
-                    p,
-                    &child_stats[0],
-                    schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                let op = tango_algebra::Logical::TAggr {
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                    input: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0]],
-                    &[n.children[0].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::MergeJoinM(eq) | Algo::JoinD(eq) => {
-                let op = tango_algebra::Logical::Join {
-                    eq: eq.clone(),
-                    left: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                    right: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0], &child_stats[1]],
-                    &[n.children[0].schema.as_ref(), n.children[1].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => {
-                let op = tango_algebra::Logical::TJoin {
-                    eq: eq.clone(),
-                    left: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                    right: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0], &child_stats[1]],
-                    &[n.children[0].schema.as_ref(), n.children[1].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            // size-preserving (transfers, sorts) and the rest: inherit
-            _ => child_stats.first().cloned().unwrap_or_default(),
-        };
-        let in_refs: Vec<&tango_stats::RelationStats> = child_stats.iter().collect();
-        let leaf_like = matches!(n.algo, Algo::ScanD(_) | Algo::MatScanM(_));
-        let own = if in_refs.is_empty() && !leaf_like {
-            0.0
-        } else if leaf_like {
-            factors.cost(&n.algo, &[&stats], &stats)
-        } else {
-            factors.cost(&n.algo, &in_refs, &stats)
-        };
-        out[pre] = NodeEstimate { est_rows: stats.rows, est_cost_us: own };
-        Ok((stats, child_cost + own))
+        let nodes = opt::estimate_plan(plan, &catalog, &Materialized::new(), &self.factors, false);
+        Ok(nodes.iter().map(|e| e.est_cost_us).sum())
     }
 }
 

@@ -19,9 +19,10 @@
 //!   (cheap atomics, written from inside the cursor hot path) and
 //!   [`Collector::finish`] turns the slots into immutable [`OpSpan`]s
 //!   with inclusive/exclusive times resolved.
-//! * [`json`] — a tiny hand-rolled JSON writer (the workspace is
-//!   offline and carries no serde_json), used to emit machine-readable
-//!   trace reports from `EXPLAIN ANALYZE` and the benchmark binaries.
+//! * [`json`] — a tiny hand-rolled JSON writer and reader (the
+//!   workspace is offline and carries no serde_json): the writer emits
+//!   machine-readable trace reports from `EXPLAIN ANALYZE` and the
+//!   benchmark binaries, the reader loads the rewrite stage's rule packs.
 //!
 //! Tracing is zero-cost when disabled: a [`TraceHandle`] is an
 //! `Option<Arc<SpanSlot>>`, and the engine's untraced execution path
@@ -389,77 +390,7 @@ pub fn events_to_json(events: &[SpanEvent]) -> String {
     format!("[{}]", parts.join(","))
 }
 
-/// Minimal JSON construction — just enough for trace reports, with
-/// correct string escaping and locale-independent number formatting.
-pub mod json {
-    /// Escape a string for use inside a JSON string literal.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Format a number the way JSON expects (no NaN/Inf, no trailing
-    /// noise: integers stay integral, fractions keep two decimals).
-    pub fn number(v: f64) -> String {
-        if !v.is_finite() {
-            return "null".to_string();
-        }
-        if v == v.trunc() && v.abs() < 9e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v:.2}")
-        }
-    }
-
-    /// An in-order JSON object builder.
-    #[derive(Debug, Default)]
-    pub struct Object {
-        parts: Vec<String>,
-    }
-
-    impl Object {
-        /// An empty object.
-        pub fn new() -> Object {
-            Object::default()
-        }
-
-        /// Add a string field.
-        pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
-            self.parts.push(format!("\"{}\":\"{}\"", escape(key), escape(value)));
-            self
-        }
-
-        /// Add a numeric field.
-        pub fn number(&mut self, key: &str, value: f64) -> &mut Self {
-            self.parts.push(format!("\"{}\":{}", escape(key), number(value)));
-            self
-        }
-
-        /// Add a pre-serialized JSON value.
-        pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
-            self.parts.push(format!("\"{}\":{}", escape(key), json));
-            self
-        }
-
-        /// Serialize the object.
-        pub fn build(&self) -> String {
-            format!("{{{}}}", self.parts.join(","))
-        }
-    }
-}
+pub mod json;
 
 #[cfg(test)]
 mod tests {
